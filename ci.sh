@@ -9,8 +9,9 @@
 #                     quick job runs.
 #   ./ci.sh full    — the complete sweep: formatting, lints, rustdoc
 #                     (deny warnings), the release build, every target
-#                     (examples, benches, bins), and the full test
-#                     suite. The default.
+#                     (examples, benches, bins), the full test suite,
+#                     and the benchmark package's tests (perfbench/).
+#                     The default.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -158,6 +159,13 @@ case "$MODE" in
 
     echo "==> cargo test -q"
     cargo test -q
+
+    # perfbench/ is its own workspace, so the workspace build above does
+    # not compile it. It calls the workspace crates' public APIs; a
+    # signature change that breaks it must fail here, not in the
+    # benchmark pipeline. Its tests run every workload at smoke size.
+    echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "ci.sh full: all green"
     ;;

@@ -134,7 +134,6 @@ pub fn run_cloud_retraining(
                 &models[s],
                 &labelled,
                 full_config,
-                num_classes,
                 TrainHyper::default(),
                 rc.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
             );

@@ -62,7 +62,6 @@ pub fn run_model_cache(
                 &model,
                 &labelled,
                 full_config,
-                num_classes,
                 TrainHyper::default(),
                 seed.wrapping_add((w_idx as u64) << 20),
             );

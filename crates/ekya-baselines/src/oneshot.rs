@@ -61,9 +61,8 @@ fn full_config() -> RetrainConfig {
     }
 }
 
-fn train_on(base: &Mlp, pool: &[Sample], num_classes: usize, seed: u64) -> Mlp {
-    let mut exec =
-        RetrainExecution::new(base, pool, full_config(), num_classes, TrainHyper::default(), seed);
+fn train_on(base: &Mlp, pool: &[Sample], seed: u64) -> Mlp {
+    let mut exec = RetrainExecution::new(base, pool, full_config(), TrainHyper::default(), seed);
     exec.run_to_completion();
     let mut m = exec.model().clone();
     m.set_layers_trained(usize::MAX);
@@ -88,7 +87,7 @@ pub fn run_fig2b(
 
     // (2) Trained once on the stream's first half.
     let first_half_pool = distill_labels(&mut teacher, &ds.pooled_train_data(0..half));
-    let once_model = train_on(&base, &first_half_pool, num_classes, seed ^ 1);
+    let once_model = train_on(&base, &first_half_pool, seed ^ 1);
 
     // (3) Trained once on other streams ("other cities"): three other
     // streams of the same kind with different seeds.
@@ -99,11 +98,11 @@ pub fn run_fig2b(
         other_pool.extend(other.pooled_train_data(0..half));
     }
     let other_pool = distill_labels(&mut teacher, &other_pool);
-    let other_model = train_on(&base, &other_pool, num_classes, seed ^ 2);
+    let other_model = train_on(&base, &other_pool, seed ^ 2);
 
     // (1) Continuous: warm on the first half, then retrain per window on
     // the previous window's data.
-    let mut continuous_model = train_on(&base, &first_half_pool, num_classes, seed ^ 3);
+    let mut continuous_model = train_on(&base, &first_half_pool, seed ^ 3);
 
     let mut result = Fig2bResult {
         windows: Vec::new(),
@@ -114,8 +113,7 @@ pub fn run_fig2b(
     for w_idx in half..num_windows {
         // Retrain continuous on the most recent (previous) window.
         let prev = distill_labels(&mut teacher, &ds.window(w_idx - 1).train_pool);
-        continuous_model =
-            train_on(&continuous_model, &prev, num_classes, seed.wrapping_add(w_idx as u64));
+        continuous_model = train_on(&continuous_model, &prev, seed.wrapping_add(w_idx as u64));
 
         let val = DataView::new(&ds.window(w_idx).val, num_classes);
         result.windows.push(w_idx);

@@ -120,7 +120,6 @@ pub fn holdout_configs(
             layers_trained: 3,
             data_fraction: 1.0,
         },
-        ds.num_classes,
         TrainHyper::default(),
         seed,
     );
@@ -128,16 +127,7 @@ pub fn holdout_configs(
     model = warm.model().clone();
     model.set_layers_trained(usize::MAX);
 
-    let (accs, _) = exhaustive_profile(
-        &model,
-        &w1,
-        &val,
-        grid,
-        ds.num_classes,
-        TrainHyper::default(),
-        cost,
-        seed,
-    );
+    let (accs, _) = exhaustive_profile(&model, &w1, &val, grid, TrainHyper::default(), cost, seed);
     // Wrap measured accuracies as flat-curve profiles for the frontier.
     let profiles: Vec<RetrainProfile> = grid
         .iter()

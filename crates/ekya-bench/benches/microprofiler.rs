@@ -58,7 +58,6 @@ fn bench_profiling(c: &mut Criterion) {
                 &w.train_pool,
                 &w.val,
                 subset,
-                ds.num_classes,
                 TrainHyper::default(),
                 &CostModel::default(),
                 1,

@@ -27,8 +27,9 @@
 
 use ekya_baselines::{PolicyBuildCtx, PolicySpec};
 use ekya_bench::{
-    append_bench_series, config_grid, fig06_grid, fig07_grid, run_fleet, run_grid, BenchRecord,
-    ConfigSweep, FleetConfig, Grid, GridExec, Knobs, ReplayTraces,
+    append_bench_series, bench_baseline_path, config_grid, fig06_grid, fig07_grid,
+    read_bench_baseline, run_fleet, run_grid, BenchRecord, ConfigSweep, FleetConfig, Grid,
+    GridExec, Knobs, ReplayTraces,
 };
 use ekya_video::StreamSet;
 use std::time::Instant;
@@ -100,12 +101,6 @@ fn measure_grid(name: &str, label: &str, grid: &Grid, workers: usize) -> BenchRe
     record
 }
 
-/// Steady-state frames/sec of the serving hot path, measured on this
-/// machine *before* the zero-copy refactor (per-stream blocking asks,
-/// freshly cloned batch `Vec`s, deep-copied models): the reference the
-/// `serve_throughput` output prints its improvement ratio against.
-const PRE_REFACTOR_FPS: f64 = 700_000.0;
-
 /// Boots a daemon for `cfg`, warms the pump (slot scratch sizing + the
 /// carrier free list), then times `rounds` rounds of pure live pumping.
 /// Returns `(wall secs, frames classified, snapshot bytes before,
@@ -126,8 +121,9 @@ fn measure_pump(cfg: &FleetConfig, rounds: usize) -> (f64, u64, String, String) 
 
 /// Measures the `serve_throughput` shape pair (serial 1-shard daemon vs
 /// parallel shape) at `streams` streams, asserts the logical plane is
-/// untouched and shape-independent, prints the frames/sec line with the
-/// pre-refactor reference, and applies the `EKYA_MIN_FPS` gate.
+/// untouched and shape-independent, prints the frames/sec line with its
+/// ratio to the committed baseline's record of the same name, and applies
+/// the `EKYA_MIN_FPS` gate.
 fn measure_serve_throughput(
     name: &str,
     streams: usize,
@@ -156,12 +152,23 @@ fn measure_serve_throughput(
         speedup: serial_secs / parallel_secs.max(1e-9),
         cells_per_sec: fps,
     };
+    let baseline_path = bench_baseline_path();
+    let reference = match read_bench_baseline(&baseline_path) {
+        Ok(records) => match records.iter().find(|r| r.name == name) {
+            Some(b) => format!(
+                "{} baseline {:.0} frames/s → {:.2}x",
+                baseline_path.display(),
+                b.cells_per_sec,
+                fps / b.cells_per_sec
+            ),
+            None => format!("no `{name}` record in {}", baseline_path.display()),
+        },
+        Err(e) => e,
+    };
     println!(
         "harness_bench: {name} {streams} streams × {rounds} rounds · {parallel_frames} frames · \
          serial shape {serial_secs:.3} s · parallel shape {parallel_secs:.3} s · {fps:.0} \
-         frames/s (pre-refactor reference {PRE_REFACTOR_FPS:.0} frames/s → {:.2}x) · snapshot \
-         byte-identity ✓",
-        fps / PRE_REFACTOR_FPS
+         frames/s ({reference}) · snapshot byte-identity ✓"
     );
     if let Some(floor) = ekya_bench::knob::min_fps() {
         assert!(fps >= floor, "{name}: {fps:.0} frames/s below the EKYA_MIN_FPS={floor:.0} floor");

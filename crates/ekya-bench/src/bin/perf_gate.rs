@@ -34,20 +34,11 @@
 //! Run: `cargo run --release -p ekya-bench --bin perf_gate`
 
 use ekya_bench::knob::bench_tolerance as tolerance;
-use ekya_bench::{bench_series_path, latest_bench_entry, BenchRecord};
+use ekya_bench::{
+    bench_baseline_path, bench_series_path, latest_bench_entry, read_bench_baseline, BenchRecord,
+};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-fn read_baseline(path: &PathBuf) -> Result<Vec<BenchRecord>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if let Ok(records) = serde_json::from_str::<Vec<BenchRecord>>(&text) {
-        return Ok(records);
-    }
-    serde_json::from_str::<BenchRecord>(&text)
-        .map(|r| vec![r])
-        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
 
 /// The baseline records whose current counterpart falls below the gate
 /// floor, as `(name, current, floor, baseline)` rows — empty when the
@@ -88,13 +79,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let repo_root = bench_series_path()
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .expect("bench series path sits two levels below the repo root");
-    let baseline_path =
-        args.first().map(PathBuf::from).unwrap_or_else(|| repo_root.join("ci/bench_baseline.json"));
+    let baseline_path = args.first().map(PathBuf::from).unwrap_or_else(bench_baseline_path);
     let series_path = args.get(1).map(PathBuf::from).unwrap_or_else(bench_series_path);
 
     let entry = match latest_bench_entry(&series_path) {
@@ -115,7 +100,7 @@ fn main() -> ExitCode {
         // what --update is for — drop those records from the check (not
         // from the refusal of the ones that *are* measured and
         // regressed) and let the rewrite proceed.
-        if let Ok(old) = read_baseline(&baseline_path) {
+        if let Ok(old) = read_bench_baseline(&baseline_path) {
             let comparable: Vec<BenchRecord> =
                 old.into_iter().filter(|b| current.iter().any(|c| c.name == b.name)).collect();
             let regressed = regressions(&comparable, &current, tolerance())
@@ -147,7 +132,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline = match read_baseline(&baseline_path) {
+    let baseline = match read_bench_baseline(&baseline_path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("perf_gate: {e} (seed it with `perf_gate --update`)");

@@ -143,7 +143,6 @@ pub struct ConfigSweep {
     model: Mlp,
     train: Vec<Sample>,
     val: Vec<Sample>,
-    num_classes: usize,
     cost: CostModel,
     base_seed: u64,
 }
@@ -173,7 +172,6 @@ impl ConfigSweep {
                 layers_trained: 3,
                 data_fraction: 1.0,
             },
-            nc,
             TrainHyper::default(),
             base_seed,
         );
@@ -181,7 +179,7 @@ impl ConfigSweep {
         let mut model = warm.model().clone();
         model.set_layers_trained(usize::MAX);
 
-        Self { model, train, val, num_classes: nc, cost, base_seed }
+        Self { model, train, val, cost, base_seed }
     }
 
     /// Profiles `configs` across `workers` threads, one [`ConfigPoint`]
@@ -210,7 +208,6 @@ impl ConfigSweep {
                             &self.train,
                             &self.val,
                             c,
-                            self.num_classes,
                             TrainHyper::default(),
                             &self.cost,
                             cfg_seed,

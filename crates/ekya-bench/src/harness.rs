@@ -1197,6 +1197,29 @@ pub fn latest_bench_entry(path: &Path) -> Result<BenchSeriesEntry, String> {
     series.last().cloned().ok_or_else(|| format!("{} holds no entries", path.display()))
 }
 
+/// The committed perf baseline, `ci/bench_baseline.json` at the
+/// repository root (two levels above the perf-trajectory file).
+pub fn bench_baseline_path() -> PathBuf {
+    bench_series_path()
+        .parent()
+        .and_then(|p| p.parent())
+        .map(|root| root.join("ci/bench_baseline.json"))
+        .expect("bench series path sits two levels below the repo root")
+}
+
+/// Reads a perf-baseline file: a JSON array of [`BenchRecord`]s, or a
+/// legacy single record (read as a one-record array).
+pub fn read_bench_baseline(path: &Path) -> Result<Vec<BenchRecord>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    if let Ok(records) = serde_json::from_str::<Vec<BenchRecord>>(&text) {
+        return Ok(records);
+    }
+    serde_json::from_str::<BenchRecord>(&text)
+        .map(|r| vec![r])
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
 /// `git describe --always --dirty` of the workspace, `"unknown"` when
 /// git is unavailable — the revision stamp of a [`BenchSeriesEntry`].
 pub fn git_describe() -> String {

@@ -7,10 +7,25 @@
 //! [`RetrainExecution`], so profiling and execution share identical
 //! semantics — the property that makes micro-profiled estimates
 //! meaningful.
+//!
+//! A configuration that retrains only its last few layers leaves a
+//! frozen *trunk* below them. [`RetrainExecution`] runs its training
+//! subsample through that trunk once, when the run is set up, and every
+//! epoch then trains only the head on those cached activations
+//! ([`Mlp::train_epoch_on`]). Validation works the same way: the caller
+//! builds the validation set's [`TrunkFeatures`] once, with
+//! [`Mlp::trunk_features`] on [`RetrainExecution::model`], and passes
+//! them to every [`RetrainExecution::accuracy`] check. The head trains
+//! inside the model `model()` returns, so checkpoints and swaps see
+//! every epoch. Results are bit-identical to running every layer each
+//! time, because each sample's activations are computed from its own row
+//! alone and SGD never updates a frozen layer (see the `ekya_nn::mlp`
+//! module docs). A configuration that trains every layer has an empty
+//! trunk and runs the same code on the raw inputs.
 
 use crate::config::RetrainConfig;
-use ekya_nn::data::{subsample, DataView, Sample};
-use ekya_nn::mlp::{Mlp, Sgd};
+use ekya_nn::data::{subsample, Sample};
+use ekya_nn::mlp::{Mlp, Sgd, TrunkFeatures};
 use serde::{Deserialize, Serialize};
 
 /// SGD hyperparameters shared by profiling and execution.
@@ -46,29 +61,30 @@ pub fn build_variant(base: &Mlp, config: &RetrainConfig, seed: u64) -> Mlp {
 pub struct RetrainExecution {
     model: Mlp,
     opt: Sgd,
-    data: Vec<Sample>,
+    /// The training subsample, as the activations leaving the model's
+    /// frozen trunk.
+    data: TrunkFeatures,
     config: RetrainConfig,
-    num_classes: usize,
     epochs_done: u32,
     seed: u64,
 }
 
 impl RetrainExecution {
     /// Prepares a retraining run: selects `config.data_fraction` of the
-    /// window pool (uniformly at random, seeded) and builds the model
-    /// variant.
+    /// window pool (uniformly at random, seeded), builds the model
+    /// variant, and runs the selected samples through its frozen trunk.
     pub fn new(
         base_model: &Mlp,
         pool: &[Sample],
         config: RetrainConfig,
-        num_classes: usize,
         hyper: TrainHyper,
         seed: u64,
     ) -> Self {
         let model = build_variant(base_model, &config, seed.wrapping_add(17));
-        let data = subsample(pool, config.data_fraction, seed.wrapping_add(29));
+        let data =
+            model.trunk_features(&subsample(pool, config.data_fraction, seed.wrapping_add(29)));
         let opt = Sgd::new(&model, hyper.lr, hyper.momentum);
-        Self { model, opt, data, config, num_classes, epochs_done: 0, seed }
+        Self { model, opt, data, config, epochs_done: 0, seed }
     }
 
     /// Runs one epoch; returns the mean training loss. No-op once all
@@ -77,9 +93,8 @@ impl RetrainExecution {
         if self.is_complete() {
             return 0.0;
         }
-        let view = DataView::new(&self.data, self.num_classes);
-        let loss = self.model.train_epoch(
-            view,
+        let loss = self.model.train_epoch_on(
+            &self.data,
             &mut self.opt,
             self.config.batch_size as usize,
             self.seed.wrapping_add(1000 + self.epochs_done as u64),
@@ -132,9 +147,10 @@ impl RetrainExecution {
         &self.model
     }
 
-    /// Validation accuracy of the current model state.
-    pub fn accuracy(&self, val: &[Sample]) -> f64 {
-        self.model.accuracy(DataView::new(val, self.num_classes))
+    /// Validation accuracy of the current model state, on features the
+    /// caller built once with `self.model().trunk_features(val)`.
+    pub fn accuracy(&self, val: &TrunkFeatures) -> f64 {
+        self.model.accuracy_on(val)
     }
 }
 
@@ -193,7 +209,6 @@ mod tests {
             &base_model(),
             &pool,
             cfg(4, 0.5, 3, 8),
-            3,
             TrainHyper::default(),
             11,
         );
@@ -219,10 +234,10 @@ mod tests {
             &base_model(),
             &pool,
             cfg(20, 1.0, 3, 8),
-            3,
             TrainHyper::default(),
             13,
         );
+        let val = exec.model().trunk_features(&val);
         let before = exec.accuracy(&val);
         exec.run_to_completion();
         let after = exec.accuracy(&val);
@@ -239,12 +254,11 @@ mod tests {
                 &base_model(),
                 &pool,
                 cfg(5, 0.8, 3, 8),
-                3,
                 TrainHyper::default(),
                 99,
             );
             e.run_to_completion();
-            e.accuracy(&val)
+            e.accuracy(&e.model().trunk_features(&val))
         };
         assert_eq!(run(), run());
     }
@@ -258,26 +272,59 @@ mod tests {
             &base_model(),
             &pool,
             cfg(20, 1.0, 3, 8),
-            3,
             TrainHyper::default(),
             15,
         );
         pre.run_to_completion();
         let trained = pre.model().clone();
-        let trained_acc = pre.accuracy(&val);
+        let trained_acc = pre.accuracy(&pre.model().trunk_features(&val));
         // Resize the head: accuracy drops initially, then retraining
         // recovers it.
-        let mut resized = RetrainExecution::new(
-            &trained,
-            &pool,
-            cfg(20, 1.0, 3, 16),
-            3,
-            TrainHyper::default(),
-            16,
-        );
+        let mut resized =
+            RetrainExecution::new(&trained, &pool, cfg(20, 1.0, 3, 16), TrainHyper::default(), 16);
+        let val = resized.model().trunk_features(&val);
         let fresh_head_acc = resized.accuracy(&val);
         assert!(fresh_head_acc < trained_acc, "fresh head should start worse");
         resized.run_to_completion();
         assert!(resized.accuracy(&val) > trained_acc - 0.1, "resized head should recover");
+    }
+
+    /// A run that trains only the output layer (a two-layer frozen trunk,
+    /// behind a resized head) must match a reference loop of plain
+    /// [`Mlp::train_epoch`] + [`Mlp::accuracy`] over every layer: the same
+    /// model bits and the same accuracy after every epoch.
+    #[test]
+    fn frozen_trunk_execution_matches_plain_training_loop() {
+        let pool = toy_pool(90, 8);
+        let val = toy_pool(45, 9);
+        let config = cfg(4, 0.7, 1, 12);
+        let hyper = TrainHyper::default();
+        let seed = 21;
+        let mut exec = RetrainExecution::new(&base_model(), &pool, config, hyper, seed);
+        let cached_val = exec.model().trunk_features(&val);
+        assert_eq!(cached_val.depth(), 2, "the output layer alone trains");
+
+        let mut reference = build_variant(&base_model(), &config, seed.wrapping_add(17));
+        let data = subsample(&pool, config.data_fraction, seed.wrapping_add(29));
+        let mut opt = Sgd::new(&reference, hyper.lr, hyper.momentum);
+        let val_view = ekya_nn::DataView::new(&val, 3);
+        for e in 0..config.epochs {
+            let want_loss = reference.train_epoch(
+                ekya_nn::DataView::new(&data, 3),
+                &mut opt,
+                config.batch_size as usize,
+                seed.wrapping_add(1000 + e as u64),
+            );
+            assert_eq!(exec.step_epoch().to_bits(), want_loss.to_bits(), "epoch {e}: loss");
+            // Debug rendering of f32 is shortest-round-trip, so equal
+            // strings mean equal bits.
+            assert_eq!(format!("{:?}", exec.model()), format!("{reference:?}"), "epoch {e}: model");
+            assert_eq!(
+                exec.accuracy(&cached_val).to_bits(),
+                reference.accuracy(val_view).to_bits(),
+                "epoch {e}: accuracy"
+            );
+        }
+        assert!(exec.is_complete());
     }
 }

@@ -26,7 +26,7 @@ use crate::config::{CurveKey, RetrainConfig};
 use crate::exec::{build_variant, TrainHyper};
 use crate::profile::{pareto_distance, RetrainProfile};
 use ekya_nn::cost::CostModel;
-use ekya_nn::data::{subsample, DataView, Sample};
+use ekya_nn::data::{subsample, Sample};
 use ekya_nn::fit::LearningCurve;
 use ekya_nn::gauss::sample_gaussian;
 use ekya_nn::mlp::{Mlp, Sgd};
@@ -113,7 +113,8 @@ impl MicroProfiler {
 
     /// Profiles `configs` for a stream whose serving model is `model`,
     /// using the current window's teacher-labelled `train_pool` and `val`
-    /// split. Returns extrapolated profiles plus the profiling cost.
+    /// split, whose labels range over `model`'s `num_classes` classes.
+    /// Returns extrapolated profiles plus the profiling cost.
     pub fn profile(
         &mut self,
         model: &Mlp,
@@ -123,6 +124,7 @@ impl MicroProfiler {
         num_classes: usize,
         seed: u64,
     ) -> ProfileOutput {
+        debug_assert_eq!(num_classes, model.arch().num_classes, "label space of another model");
         let (selected, pruned) = self.select_configs(configs);
 
         // One micro-training run per model variant (curve key).
@@ -133,7 +135,7 @@ impl MicroProfiler {
             if curves.contains_key(&key) {
                 continue;
             }
-            let (curve, cost) = self.micro_train(model, train_pool, val, config, num_classes, seed);
+            let (curve, cost) = self.micro_train(model, train_pool, val, config, seed);
             // Logical-plane telemetry: the micro-training cost comes from
             // the cost model, so the span value is deterministic. The
             // enabled() guard keeps the disabled path allocation-free.
@@ -196,35 +198,38 @@ impl MicroProfiler {
 
     /// Runs the micro-training for one model variant and fits its curve.
     /// Returns `(curve, gpu_seconds)`.
+    ///
+    /// The sample and the validation set each pass through the variant's
+    /// frozen trunk once; every epoch and every accuracy check after it
+    /// runs only the trainable head on those cached activations (see
+    /// [`crate::exec`]), bit-identically to running every layer.
     fn micro_train(
         &self,
         model: &Mlp,
         train_pool: &[Sample],
         val: &[Sample],
         config: &RetrainConfig,
-        num_classes: usize,
         seed: u64,
     ) -> (LearningCurve, f64) {
         let frac = self.params.profile_data_fraction.clamp(0.01, 1.0);
-        let sample = subsample(train_pool, frac, seed.wrapping_add(31));
         let mut variant = build_variant(model, config, seed.wrapping_add(17));
-        let val_view = DataView::new(val, num_classes);
-        let sample_view = DataView::new(&sample, num_classes);
+        let sample = variant.trunk_features(&subsample(train_pool, frac, seed.wrapping_add(31)));
+        let val = variant.trunk_features(val);
 
         let mut points: Vec<(f64, f64)> =
             Vec::with_capacity(self.params.profile_epochs as usize + 1);
-        points.push((0.0, variant.accuracy(val_view)));
+        points.push((0.0, variant.accuracy_on(&val)));
         let mut opt = Sgd::new(&variant, self.params.hyper.lr, self.params.hyper.momentum);
         for e in 0..self.params.profile_epochs {
-            variant.train_epoch(
-                sample_view,
+            variant.train_epoch_on(
+                &sample,
                 &mut opt,
                 config.batch_size as usize,
                 seed.wrapping_add(500 + e as u64),
             );
             // Training e+1 epochs on `frac` of the pool ≈ (e+1)*frac
             // full-pool epoch equivalents.
-            points.push(((e + 1) as f64 * frac, variant.accuracy(val_view)));
+            points.push(((e + 1) as f64 * frac, variant.accuracy_on(&val)));
         }
         let best_observed = points.iter().map(|p| p.1).fold(0.0, f64::max);
         let curve = LearningCurve::fit_capped(&points, best_observed + self.params.max_headroom);
@@ -287,23 +292,20 @@ impl MicroProfiler {
 /// slice keeps every number identical.
 ///
 /// Returns `(final_accuracy, gpu_seconds_spent)`.
-#[allow(clippy::too_many_arguments)] // mirrors the micro-profiler's profiling interface
 pub fn profile_config(
     model: &Mlp,
     train_pool: &[Sample],
     val: &[Sample],
     config: RetrainConfig,
-    num_classes: usize,
     hyper: TrainHyper,
     cost: &CostModel,
     seed: u64,
 ) -> (f64, f64) {
-    let mut exec =
-        crate::exec::RetrainExecution::new(model, train_pool, config, num_classes, hyper, seed);
+    let mut exec = crate::exec::RetrainExecution::new(model, train_pool, config, hyper, seed);
     let per_epoch =
         cost.train_epoch_gpu_seconds(exec.model(), exec.num_samples(), config.batch_size);
     exec.run_to_completion();
-    (exec.accuracy(val), per_epoch * config.epochs as f64)
+    (exec.accuracy(&exec.model().trunk_features(val)), per_epoch * config.epochs as f64)
 }
 
 /// Ground-truth profiling: actually retrains every configuration to
@@ -317,13 +319,11 @@ pub fn profile_config(
 /// per-config seeding invoke directly).
 ///
 /// Returns `(final_accuracies, gpu_seconds_spent)` aligned with `configs`.
-#[allow(clippy::too_many_arguments)] // mirrors the micro-profiler's profiling interface
 pub fn exhaustive_profile(
     model: &Mlp,
     train_pool: &[Sample],
     val: &[Sample],
     configs: &[RetrainConfig],
-    num_classes: usize,
     hyper: TrainHyper,
     cost: &CostModel,
     seed: u64,
@@ -331,8 +331,7 @@ pub fn exhaustive_profile(
     let mut accs = Vec::with_capacity(configs.len());
     let mut gpu_seconds = 0.0;
     for &config in configs {
-        let (acc, spent) =
-            profile_config(model, train_pool, val, config, num_classes, hyper, cost, seed);
+        let (acc, spent) = profile_config(model, train_pool, val, config, hyper, cost, seed);
         gpu_seconds += spent;
         accs.push(acc);
     }
@@ -386,7 +385,6 @@ mod tests {
             &w.train_pool,
             &w.val,
             &grid,
-            ds.num_classes,
             TrainHyper::default(),
             &CostModel::default(),
             1,
@@ -416,7 +414,6 @@ mod tests {
                 layers_trained: 3,
                 data_fraction: 1.0,
             },
-            ds.num_classes,
             TrainHyper::default(),
             7,
         );
@@ -436,7 +433,6 @@ mod tests {
             &w.train_pool,
             &w.val,
             &grid,
-            ds.num_classes,
             TrainHyper::default(),
             &CostModel::default(),
             2,

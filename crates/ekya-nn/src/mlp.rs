@@ -18,12 +18,38 @@
 //! of neurons in the last layer" hyperparameter), seeded determinism.
 //! Omitted (not needed by any experiment): convolutions, dropout,
 //! batch-norm, weight decay, GPU execution.
+//!
+//! # The frozen-trunk cache
+//!
+//! A model trained with only its last `layers_trained` layers unfrozen
+//! splits into a *trunk* (the leading frozen layers, [`Mlp::trunk_len`])
+//! and a *head* (the rest). Retraining runs many epochs over one training
+//! set and checks accuracy on one validation set after each, so
+//! [`Mlp::trunk_features`] pushes each data set through the trunk once,
+//! and [`Mlp::train_epoch_on`] / [`Mlp::accuracy_on`] then run only the
+//! head on those [`TrunkFeatures`]. The results are bit-identical to the
+//! full forward pass ([`Mlp::train_epoch`], [`Mlp::accuracy`]) because of
+//! two conditions:
+//!
+//! * **rows are independent** — every kernel computes a sample's
+//!   activations from that sample's row alone, in a fixed order, so a
+//!   row's trunk output does not depend on which batch it was computed
+//!   in (all 300 validation frames at once, or a shuffled minibatch);
+//! * **frozen layers never change** — SGD updates trainable layers only,
+//!   and gradients stop at the lowest trainable layer, so the trunk's
+//!   weights (and hence the cached activations) stay valid for as long
+//!   as the freeze does. Features are only valid for the model they were
+//!   computed with: re-freezing or resizing the trunk needs new ones.
+//!
+//! A model with no frozen layer has an empty trunk: its features are
+//! its inputs, and it runs the same code.
 
 use crate::data::{DataView, Sample};
 use crate::tensor::{relu_inplace_into, softmax_rows, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One dense (fully connected) layer: `y = x W + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -99,15 +125,15 @@ pub struct Mlp {
     trainable: Vec<bool>,
 }
 
-/// Reusable buffers for one training run: batch features and labels,
-/// per-layer activations/masks, softmax probabilities, the two backprop
-/// delta buffers, and the per-layer gradients. One workspace serves
-/// every minibatch of an epoch (buffers are reshaped in place as batch
-/// sizes change), which removes the per-batch allocation churn the
-/// original loop paid — the dominant cost of many small training runs
-/// like the micro-profiler's.
+/// Reusable buffers for one training run: batch labels, per-layer
+/// activations/masks (the batch's input rows are gathered straight into
+/// the first activation slot the pass starts from), softmax
+/// probabilities, the two backprop delta buffers, and the per-layer
+/// gradients. One workspace serves every minibatch of an epoch (buffers
+/// are reshaped in place as batch sizes change), which removes the
+/// per-batch allocation churn the original loop paid — the dominant cost
+/// of many small training runs like the micro-profiler's.
 struct Workspace {
-    x: Matrix,
     labels: Vec<usize>,
     acts: Vec<Matrix>,
     masks: Vec<Vec<bool>>,
@@ -121,7 +147,6 @@ struct Workspace {
 impl Workspace {
     fn new(model: &Mlp) -> Self {
         Self {
-            x: Matrix::zeros(0, 0),
             labels: Vec::new(),
             acts: (0..=model.layers.len()).map(|_| Matrix::zeros(0, 0)).collect(),
             masks: (1..model.layers.len()).map(|_| Vec::new()).collect(),
@@ -135,11 +160,12 @@ impl Workspace {
 }
 
 /// Reusable forward-pass buffers for batched prediction — the public,
-/// serving-path analogue of the private training [`Workspace`]. One
+/// serving-path analogue of the private training `Workspace`. One
 /// scratch serves any sequence of [`Mlp::predict_into`] /
-/// [`Mlp::accuracy_with`] calls: batch features, per-layer activations
-/// and ReLU masks, softmax probabilities, and the prediction vector all
-/// reuse one allocation each, reshaped in place as batch sizes — and
+/// [`Mlp::accuracy_with`] calls: per-layer activations (the batch
+/// features land in the first) and ReLU masks, softmax probabilities,
+/// and the prediction vector all reuse one allocation each, reshaped in
+/// place as batch sizes — and
 /// even *models* (a hot-swap to a deeper, shallower, wider, or narrower
 /// network) — change underneath it. Every `_into` kernel fully rewrites
 /// its output for the current shape, so a dirty oversized buffer can
@@ -147,7 +173,6 @@ impl Workspace {
 /// bit-identical to the allocating [`Mlp::predict`].
 #[derive(Debug)]
 pub struct PredictScratch {
-    x: Matrix,
     acts: Vec<Matrix>,
     masks: Vec<Vec<bool>>,
     probs: Matrix,
@@ -157,13 +182,7 @@ pub struct PredictScratch {
 impl PredictScratch {
     /// An empty scratch: buffers grow on first use, then are reused.
     pub fn new() -> Self {
-        Self {
-            x: Matrix::zeros(0, 0),
-            acts: Vec::new(),
-            masks: Vec::new(),
-            probs: Matrix::zeros(0, 0),
-            preds: Vec::new(),
-        }
+        Self { acts: Vec::new(), masks: Vec::new(), probs: Matrix::zeros(0, 0), preds: Vec::new() }
     }
 
     /// Fits the per-layer buffer *counts* to `model`'s depth (`acts`
@@ -179,6 +198,48 @@ impl PredictScratch {
 impl Default for PredictScratch {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A labelled data set as the activations entering one layer of a model:
+/// the output of the model's frozen trunk (see the module docs), computed
+/// once by [`Mlp::trunk_features`] and reused by every
+/// [`Mlp::train_epoch_on`] / [`Mlp::accuracy_on`] call while the trunk
+/// stays frozen. Row `r` belongs to the `r`-th sample it was built from.
+#[derive(Debug, Clone)]
+pub struct TrunkFeatures {
+    /// Index of the layer these activations enter (0: the raw inputs).
+    depth: usize,
+    /// One row per sample.
+    x: Matrix,
+    /// The samples' class labels.
+    labels: Vec<usize>,
+}
+
+impl TrunkFeatures {
+    /// The samples' raw feature vectors: the activations entering layer 0.
+    fn inputs(samples: &[Sample], input_dim: usize) -> Self {
+        Self {
+            depth: 0,
+            x: batch_features(samples, input_dim),
+            labels: samples.iter().map(|s| s.y).collect(),
+        }
+    }
+
+    /// Index of the layer these activations enter — the trunk length of
+    /// the model they were computed with.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when built from no samples.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
     }
 }
 
@@ -262,29 +323,59 @@ impl Mlp {
         self.layers[h] = Dense::he_init(neurons, self.arch.num_classes, &mut rng);
     }
 
+    /// Number of leading frozen layers: the trunk whose activations
+    /// [`Mlp::trunk_features`] caches. SGD never updates these layers and
+    /// no gradient reaches them (0 when every layer trains).
+    pub fn trunk_len(&self) -> usize {
+        self.trainable.iter().position(|t| *t).unwrap_or(self.layers.len())
+    }
+
+    /// Runs `samples` through the frozen trunk once. The result stands in
+    /// for `samples` in [`Mlp::train_epoch_on`] and [`Mlp::accuracy_on`]
+    /// for as long as this model's trunk stays as it is now — which SGD
+    /// guarantees, since it never touches frozen layers.
+    pub fn trunk_features(&self, samples: &[Sample]) -> TrunkFeatures {
+        let TrunkFeatures { x, labels, .. } = TrunkFeatures::inputs(samples, self.arch.input_dim);
+        let depth = self.trunk_len();
+        let mut acts = vec![Matrix::zeros(0, 0); depth + 1];
+        acts[0] = x;
+        let mut masks = vec![Vec::new(); depth];
+        self.forward_layers(&mut acts, &mut masks, 0..depth);
+        let x = acts.pop().expect("depth + 1 activation slots");
+        TrunkFeatures { depth, x, labels }
+    }
+
+    /// Panics unless `data` can stand in for its samples on this model:
+    /// it must enter a frozen layer (or the first trainable one) with
+    /// that layer's input width.
+    fn check_features(&self, data: &TrunkFeatures) {
+        assert!(
+            data.depth <= self.trunk_len(),
+            "features enter layer {} but the frozen trunk ends at layer {}",
+            data.depth,
+            self.trunk_len()
+        );
+        let width = self.layers.get(data.depth).map_or(self.arch.num_classes, Dense::in_dim);
+        assert_eq!(data.x.cols(), width, "feature width does not match layer {}", data.depth);
+    }
+
     /// Forward pass on a batch. Returns per-layer pre-activation inputs
     /// (needed for backprop) plus the softmax probabilities.
     fn forward_full(&self, x: &Matrix) -> (Vec<Matrix>, Vec<Vec<bool>>, Matrix) {
         let mut acts: Vec<Matrix> = (0..=self.layers.len()).map(|_| Matrix::zeros(0, 0)).collect();
         let mut masks: Vec<Vec<bool>> = (1..self.layers.len()).map(|_| Vec::new()).collect();
         let mut probs = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut acts, &mut masks, &mut probs);
+        acts[0].copy_from(x);
+        self.forward_into(0, &mut acts, &mut masks, &mut probs);
         (acts, masks, probs)
     }
 
-    /// [`Mlp::forward_full`] writing into caller-owned buffers (a
-    /// [`Workspace`]'s), so the per-batch activations, masks, and
-    /// probabilities reuse one allocation each across an epoch.
-    /// `acts` must hold `layers + 1` slots and `masks` `layers - 1`.
-    fn forward_into(
-        &self,
-        x: &Matrix,
-        acts: &mut [Matrix],
-        masks: &mut [Vec<bool>],
-        probs: &mut Matrix,
-    ) {
-        acts[0].copy_from(x);
-        for (i, layer) in self.layers.iter().enumerate() {
+    /// Runs `layers` in order: layer `i` reads `acts[i]` and writes its
+    /// output to `acts[i + 1]`, ReLU'd (mask in `masks[i]`) unless it is
+    /// the output layer. Each output row depends on its input row only.
+    fn forward_layers(&self, acts: &mut [Matrix], masks: &mut [Vec<bool>], layers: Range<usize>) {
+        for i in layers {
+            let layer = &self.layers[i];
             let (prev, rest) = acts.split_at_mut(i + 1);
             let z = &mut rest[0];
             prev[i].matmul_into(&layer.w, z);
@@ -298,27 +389,30 @@ impl Mlp {
                 relu_inplace_into(z, &mut masks[i]);
             }
         }
-        probs.copy_from(&acts[self.layers.len()]);
+    }
+
+    /// The forward pass from the activations in `acts[from]` to the
+    /// softmax probabilities, writing into caller-owned buffers (a
+    /// [`Workspace`]'s or a [`PredictScratch`]'s), so the per-batch
+    /// activations, masks, and probabilities reuse one allocation each.
+    /// `acts` must hold `layers + 1` slots and `masks` `layers - 1`;
+    /// slots below `from` are neither read nor written.
+    fn forward_into(
+        &self,
+        from: usize,
+        acts: &mut [Matrix],
+        masks: &mut [Vec<bool>],
+        probs: &mut Matrix,
+    ) {
+        let n = self.layers.len();
+        self.forward_layers(acts, masks, from..n);
+        probs.copy_from(&acts[n]);
         softmax_rows(probs);
     }
 
     /// Predicted class indices for a batch of samples.
     pub fn predict(&self, samples: &[Sample]) -> Vec<usize> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let x = batch_features(samples, self.arch.input_dim);
-        let (_, _, probs) = self.forward_full(&x);
-        (0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        self.predict_into(samples, &mut PredictScratch::new()).to_vec()
     }
 
     /// [`Mlp::predict`] through caller-owned scratch buffers: the
@@ -335,24 +429,15 @@ impl Mlp {
             return &scratch.preds;
         }
         scratch.fit(self);
-        let PredictScratch { x, acts, masks, probs, preds } = scratch;
+        let PredictScratch { acts, masks, probs, preds } = scratch;
         let input_dim = self.arch.input_dim;
-        x.resize_zeroed(samples.len(), input_dim);
+        acts[0].resize_zeroed(samples.len(), input_dim);
         for (r, s) in samples.iter().enumerate() {
             assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
-            x.row_mut(r).copy_from_slice(&s.x);
+            acts[0].row_mut(r).copy_from_slice(&s.x);
         }
-        self.forward_into(x, acts, masks, probs);
-        for r in 0..probs.rows() {
-            let row = probs.row(r);
-            let best = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            preds.push(best);
-        }
+        self.forward_into(0, acts, masks, probs);
+        argmax_rows(probs, preds);
         &scratch.preds
     }
 
@@ -370,11 +455,26 @@ impl Mlp {
     /// Classification accuracy on a dataset view, in `[0, 1]`.
     /// Returns 0 for an empty view.
     pub fn accuracy(&self, data: DataView<'_>) -> f64 {
+        self.accuracy_with(data, &mut PredictScratch::new())
+    }
+
+    /// [`Mlp::accuracy`] on the samples `data` was built from, running
+    /// only the layers above its depth — bit-identical to the full pass.
+    ///
+    /// # Panics
+    /// Panics if `data` does not fit this model's trunk.
+    pub fn accuracy_on(&self, data: &TrunkFeatures) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let preds = self.predict(data.samples);
-        let correct = preds.iter().zip(data.samples).filter(|(p, s)| **p == s.y).count();
+        self.check_features(data);
+        let mut scratch = PredictScratch::new();
+        scratch.fit(self);
+        let PredictScratch { acts, masks, probs, preds } = &mut scratch;
+        acts[data.depth].copy_from(&data.x);
+        self.forward_into(data.depth, acts, masks, probs);
+        argmax_rows(probs, preds);
+        let correct = preds.iter().zip(&data.labels).filter(|(p, y)| p == y).count();
         correct as f64 / data.len() as f64
     }
 
@@ -462,29 +562,47 @@ impl Mlp {
         batch_size: usize,
         epoch_seed: u64,
     ) -> f64 {
+        let inputs = TrunkFeatures::inputs(data.samples, self.arch.input_dim);
+        self.train_epoch_on(&inputs, opt, batch_size, epoch_seed)
+    }
+
+    /// [`Mlp::train_epoch`] on the samples `data` was built from: each
+    /// minibatch gathers its rows of `data` and runs forward and backward
+    /// through the layers above `data`'s depth only. Weights, optimiser
+    /// state and the returned loss are bit-identical to `train_epoch`.
+    ///
+    /// # Panics
+    /// Panics if `data` does not fit this model's trunk.
+    pub fn train_epoch_on(
+        &mut self,
+        data: &TrunkFeatures,
+        opt: &mut Sgd,
+        batch_size: usize,
+        epoch_seed: u64,
+    ) -> f64 {
         use rand::seq::SliceRandom;
         if data.is_empty() {
             return 0.0;
         }
+        self.check_features(data);
         let batch_size = batch_size.max(1);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = StdRng::seed_from_u64(epoch_seed);
         order.shuffle(&mut rng);
 
         let mut ws = Workspace::new(self);
-        let input_dim = self.arch.input_dim;
+        let depth = data.depth;
         let mut total_loss = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(batch_size) {
             ws.labels.clear();
-            ws.x.resize_zeroed(chunk.len(), input_dim);
+            let x = &mut ws.acts[depth];
+            x.resize_zeroed(chunk.len(), data.x.cols());
             for (r, &i) in chunk.iter().enumerate() {
-                let s = &data.samples[i];
-                assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
-                ws.x.row_mut(r).copy_from_slice(&s.x);
-                ws.labels.push(s.y);
+                x.row_mut(r).copy_from_slice(data.x.row(i));
+                ws.labels.push(data.labels[i]);
             }
-            self.forward_into(&ws.x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+            self.forward_into(depth, &mut ws.acts, &mut ws.masks, &mut ws.probs);
 
             // Batch loss (before the update), for curve fitting.
             let mut loss = 0.0f64;
@@ -506,11 +624,23 @@ impl Mlp {
             );
             opt.apply(self, &ws.gw, &ws.gb);
         }
-        if batches == 0 {
-            0.0
-        } else {
-            total_loss / batches as f64
-        }
+        total_loss / batches as f64
+    }
+}
+
+/// Writes each row's most probable class into `preds`, replacing its
+/// contents (`Iterator::max_by` settles ties on the later class).
+fn argmax_rows(probs: &Matrix, preds: &mut Vec<usize>) {
+    preds.clear();
+    for r in 0..probs.rows() {
+        let best = probs
+            .row(r)
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        preds.push(best);
     }
 }
 
@@ -691,7 +821,8 @@ mod tests {
 
         let mut ws = Workspace::new(&model);
         for (pass, x) in [&x_big, &x_small].into_iter().enumerate() {
-            model.forward_into(x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+            ws.acts[0].copy_from(x);
+            model.forward_into(0, &mut ws.acts, &mut ws.masks, &mut ws.probs);
             let (acts, masks, probs) = model.forward_full(x);
             assert_eq!(masks, ws.masks, "pass {pass}: masks diverged");
             for (i, (fresh, reused)) in acts.iter().zip(&ws.acts).enumerate() {
@@ -778,6 +909,66 @@ mod tests {
         assert_eq!(shallow.predict_into(&batch, &mut scratch).to_vec(), shallow.predict(&batch));
         // And back up to the deep model again.
         assert_eq!(deep.predict_into(&batch, &mut scratch).to_vec(), deep.predict(&batch));
+    }
+
+    /// Three epochs of head-only training on cached trunk features must
+    /// leave bit-identical weights and losses to [`Mlp::train_epoch`]'s
+    /// full forward pass with the same layers frozen — for trunks of one
+    /// and two layers, a model after [`Mlp::resize_last_hidden`], and a
+    /// fully trainable model (empty trunk). 50 samples in batches of 16
+    /// end on a ragged minibatch. Accuracy on cached validation features
+    /// must match [`Mlp::accuracy`] after every epoch.
+    #[test]
+    fn cached_trunk_training_is_bit_identical_to_full_forward() {
+        let data = toy_data(50, 21);
+        let val = toy_data(37, 22);
+        let view = DataView::new(&data, 2);
+        let arch = MlpArch { input_dim: 2, hidden: vec![8, 6], num_classes: 2 };
+        let mut resized = Mlp::new(arch.clone(), 13);
+        resized.resize_last_hidden(10, 14);
+        for (label, base, layers_trained, trunk) in [
+            ("trunk of 1", Mlp::new(arch.clone(), 11), 2, 1),
+            ("trunk of 2", Mlp::new(arch.clone(), 12), 1, 2),
+            ("trunk of 2 after resize", resized, 1, 2),
+            ("empty trunk", Mlp::new(arch.clone(), 15), 3, 0),
+        ] {
+            let mut full = base.clone();
+            full.set_layers_trained(layers_trained);
+            let mut cached = full.clone();
+            assert_eq!(cached.trunk_len(), trunk, "{label}");
+            let train = cached.trunk_features(&data);
+            let val_features = cached.trunk_features(&val);
+            assert_eq!((train.depth(), train.len()), (trunk, data.len()), "{label}");
+
+            let mut full_opt = Sgd::new(&full, 0.1, 0.9);
+            let mut cached_opt = Sgd::new(&cached, 0.1, 0.9);
+            for e in 0..3 {
+                let want = full.train_epoch(view, &mut full_opt, 16, e);
+                let got = cached.train_epoch_on(&train, &mut cached_opt, 16, e);
+                assert_eq!(got.to_bits(), want.to_bits(), "{label}: epoch {e} loss");
+                // Debug rendering of f32 is shortest-round-trip, so equal
+                // strings mean equal bits (and -0.0 still shows its sign).
+                assert_eq!(
+                    format!("{:?}", cached.layers),
+                    format!("{:?}", full.layers),
+                    "{label}: epoch {e} weights"
+                );
+                let want = full.accuracy(DataView::new(&val, 2));
+                assert_eq!(cached.accuracy_on(&val_features).to_bits(), want.to_bits(), "{label}");
+            }
+            assert_ne!(format!("{:?}", cached.layers), format!("{:?}", base.layers), "{label}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen trunk ends at layer 1")]
+    fn features_deeper_than_the_trunk_are_rejected() {
+        let data = toy_data(8, 23);
+        let mut model = Mlp::new(MlpArch { input_dim: 2, hidden: vec![4, 4], num_classes: 2 }, 1);
+        model.set_layers_trained(1);
+        let features = model.trunk_features(&data);
+        model.set_layers_trained(2);
+        let _ = model.accuracy_on(&features);
     }
 
     #[test]

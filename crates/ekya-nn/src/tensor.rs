@@ -125,21 +125,44 @@ impl Matrix {
     /// [`Matrix::matmul`] writing into a caller-owned output matrix
     /// (reshaped and zeroed here), so hot loops can reuse one allocation
     /// across calls. Numerically identical to `matmul`.
+    ///
+    /// i-k-j loop order keeps the inner loop sequential over both `rhs`
+    /// and `out` rows, the cache-friendly ordering for row-major data.
+    /// Rows are tiled four at a time: each `rhs` row is read once per
+    /// tile instead of once per row, and the four output rows form four
+    /// independent accumulator streams. Each output element still
+    /// accumulates over k in ascending order from +0, which pins the
+    /// (non-associative) f32 sum; a zero `a` contributes a ±0 term, which
+    /// leaves such a sum's bits unchanged for finite `rhs`, so no zero
+    /// skip is needed.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize_zeroed(m, n);
-        // i-k-j loop order keeps the inner loop sequential over both
-        // `rhs` and `out` rows, which is the cache-friendly ordering for
-        // row-major data. Each output element accumulates over k in
-        // ascending order, which pins the (non-associative) f32 sum.
-        for i in 0..m {
+        if n == 0 {
+            return;
+        }
+        let tiled = m - m % 4;
+        for (i, tile) in out.data[..tiled * n].chunks_exact_mut(4 * n).enumerate() {
+            let a = &self.data[4 * i * k..4 * (i + 1) * k];
+            let (o0, rest) = tile.split_at_mut(n);
+            let (o1, rest) = rest.split_at_mut(n);
+            let (o2, o3) = rest.split_at_mut(n);
+            for kk in 0..k {
+                let (a0, a1, a2, a3) = (a[kk], a[k + kk], a[2 * k + kk], a[3 * k + kk]);
+                let b_row = &rhs.data[kk * n..(kk + 1) * n];
+                for (j, &b) in b_row.iter().enumerate() {
+                    o0[j] += a0 * b;
+                    o1[j] += a1 * b;
+                    o2[j] += a2 * b;
+                    o3[j] += a3 * b;
+                }
+            }
+        }
+        for i in tiled..m {
             let a_row = &self.data[i * k..(i + 1) * k];
             let out_row = &mut out.data[i * n..(i + 1) * n];
             for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let b_row = &rhs.data[kk * n..(kk + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
@@ -391,6 +414,20 @@ mod tests {
         })
     }
 
+    /// [`fill`] with exact zeros of both signs mixed in — the shape of a
+    /// ReLU output, and the inputs a zero skip would have bypassed.
+    fn fill_with_zeros(rows: usize, cols: usize, salt: usize) -> Matrix {
+        let mut m = fill(rows, cols, salt);
+        for (i, v) in m.data_mut().iter_mut().enumerate() {
+            match (i + salt) % 5 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+        m
+    }
+
     /// Asserts two matrices are **bit**-identical — stricter than `==`
     /// (which would let `-0.0` slide) and the contract the kernel
     /// optimisations pin: same shapes, same ascending-k accumulation
@@ -402,54 +439,62 @@ mod tests {
         }
     }
 
-    /// The optimised kernels (i-k-j `matmul`, transpose-free `t_matmul`,
-    /// register-blocked `matmul_t`) against naive triple loops that
-    /// accumulate over ascending k — the pre-optimisation order. Shapes
-    /// make the 4-wide block cover one full block *and* a scalar
-    /// remainder (n = 6).
+    /// The optimised kernels (4-row-tiled i-k-j `matmul`, transpose-free
+    /// `t_matmul`, register-blocked `matmul_t`) against naive triple
+    /// loops that accumulate every term over ascending k from +0 — the
+    /// pre-optimisation order, with no zero skip. Row counts 1–9 run every
+    /// remainder of the 4-row tile (and one or two full tiles); n = 6
+    /// covers one full 4-wide `matmul_t` block *and* a scalar remainder.
+    /// The left operands hold exact zeros of both signs.
     #[test]
     fn gemm_kernels_are_bit_identical_to_naive_reference() {
-        let (m, k, n) = (5, 7, 6);
-        let a = fill(m, k, 1);
-
+        let (k, n) = (7, 6);
         let b = fill(k, n, 2);
-        let c = a.matmul(&b);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
-        });
-        assert_bits("matmul", &c, &naive);
-
-        let at = fill(k, m, 3); // k x m — t_matmul computes at^T * b
-        let c = at.t_matmul(&b);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
-        });
-        assert_bits("t_matmul", &c, &naive);
-
         let bt = fill(n, k, 4); // n x k — matmul_t computes a * bt^T
-        let c = a.matmul_t(&bt);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * bt.get(j, kk))
-        });
-        assert_bits("matmul_t", &c, &naive);
+        for m in 1..=9 {
+            let a = fill_with_zeros(m, k, m);
+            assert!(a.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()));
+
+            let c = a.matmul(&b);
+            let naive = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
+            });
+            assert_bits(&format!("matmul m={m}"), &c, &naive);
+
+            let at = fill_with_zeros(k, m, m + 3); // k x m — t_matmul computes at^T * b
+            let c = at.t_matmul(&b);
+            let naive = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
+            });
+            assert_bits(&format!("t_matmul m={m}"), &c, &naive);
+
+            let c = a.matmul_t(&bt);
+            let naive = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * bt.get(j, kk))
+            });
+            assert_bits(&format!("matmul_t m={m}"), &c, &naive);
+        }
     }
 
     /// One scratch buffer reused across all three `_into` kernels, each
     /// with a different output shape, primed with NaNs: any residue from
-    /// a previous occupant would surface as a NaN or a wrong bit.
+    /// a previous occupant would surface as a NaN or a wrong bit. Row
+    /// counts 1–9 shrink and grow the buffer through every tile
+    /// remainder.
     #[test]
     fn into_kernels_reuse_dirty_buffers_without_residue() {
-        let a = fill(5, 7, 5);
         let b = fill(7, 6, 6);
-        let at = fill(7, 5, 7);
         let bt = fill(6, 7, 8);
-
         let mut out = Matrix::from_fn(9, 9, |_, _| f32::NAN);
-        a.matmul_into(&b, &mut out);
-        assert_bits("matmul_into (dirty)", &out, &a.matmul(&b));
-        at.t_matmul_into(&b, &mut out);
-        assert_bits("t_matmul_into (dirty)", &out, &at.t_matmul(&b));
-        a.matmul_t_into(&bt, &mut out);
-        assert_bits("matmul_t_into (dirty)", &out, &a.matmul_t(&bt));
+        for m in (1..=9).rev().chain(1..=9) {
+            let a = fill_with_zeros(m, 7, m + 5);
+            let at = fill_with_zeros(7, m, m + 7);
+            a.matmul_into(&b, &mut out);
+            assert_bits(&format!("matmul_into m={m} (dirty)"), &out, &a.matmul(&b));
+            at.t_matmul_into(&b, &mut out);
+            assert_bits(&format!("t_matmul_into m={m} (dirty)"), &out, &at.t_matmul(&b));
+            a.matmul_t_into(&bt, &mut out);
+            assert_bits(&format!("matmul_t_into m={m} (dirty)"), &out, &a.matmul_t(&bt));
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::inference::{InferenceActor, InferenceMsg, InferenceReply, InferenceSt
 use crate::trainer::{
     SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
 };
-use ekya_actors::{spawn, ActorHandle};
+use ekya_actors::{spawn, spawn_bounded, ActorHandle};
 use ekya_core::{
     build_inference_profiles, default_inference_grid, default_retrain_grid, EkyaPolicy,
     InferenceConfig, MicroProfiler, MicroProfilerParams, Policy, PolicyCtx, PolicyStream,
@@ -108,6 +108,13 @@ struct StreamRuntime {
     profiler: MicroProfiler,
 }
 
+/// Mailbox capacity of each inference actor — the default
+/// `ServeConfig::shard_mailbox`. [`EdgeServer::run_window`] sends frames
+/// to the inference actors for as long as its trainers run; the bound
+/// makes it wait for the actors to drain instead of queueing without
+/// limit.
+const INFERENCE_MAILBOX: usize = 128;
+
 /// The actor-based edge server.
 pub struct EdgeServer {
     streams: StreamSet,
@@ -129,9 +136,10 @@ impl EdgeServer {
                 let model = Mlp::new(MlpArch::edge(ds.feature_dim, ds.num_classes, 16), seed);
                 StreamRuntime {
                     id,
-                    infer: spawn(
+                    infer: spawn_bounded(
                         format!("inference-{id}"),
                         InferenceActor::new(model, ds.num_classes),
+                        INFERENCE_MAILBOX,
                     ),
                     trainer: spawn(format!("trainer-{id}"), TrainerActor),
                     teacher: OracleTeacher::new(

@@ -129,20 +129,15 @@ impl Actor for TrainerActor {
 
     fn handle(&mut self, msg: TrainerMsg) -> TrainerReply {
         let TrainerMsg::Run(spec) = msg;
-        let mut exec = RetrainExecution::new(
-            &spec.base_model,
-            &spec.pool,
-            spec.config,
-            spec.num_classes,
-            spec.hyper,
-            spec.seed,
-        );
+        let mut exec =
+            RetrainExecution::new(&spec.base_model, &spec.pool, spec.config, spec.hyper, spec.seed);
         // Accuracy the serving side currently has, as the swap bar.
         let mut serving_accuracy = match &spec.swap_target {
             Some(target) => target.serving_accuracy(&spec.val),
             None => 0.0,
         };
         let mut checkpoints_swapped = 0u32;
+        let val = exec.model().trunk_features(&spec.val);
         while !exec.is_complete() {
             exec.step_epoch();
             if spec.fail_after_epochs.is_some_and(|n| exec.epochs_done() >= n) {
@@ -154,7 +149,7 @@ impl Actor for TrainerActor {
                 .unwrap_or(false);
             let last = exec.is_complete();
             if at_checkpoint || last {
-                let acc = exec.accuracy(&spec.val);
+                let acc = exec.accuracy(&val);
                 if acc > serving_accuracy {
                     if let Some(target) = &spec.swap_target {
                         let mut model = exec.model().clone();
@@ -167,7 +162,7 @@ impl Actor for TrainerActor {
                 }
             }
         }
-        let final_accuracy = exec.accuracy(&spec.val);
+        let final_accuracy = exec.accuracy(&val);
         let mut model = exec.model().clone();
         model.set_layers_trained(usize::MAX);
         TrainerReply::Done(Box::new(TrainOutcome {

@@ -32,7 +32,7 @@ use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::fit::LearningCurve;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
-use ekya_nn::mlp::{Mlp, MlpArch};
+use ekya_nn::mlp::{Mlp, MlpArch, TrunkFeatures};
 use ekya_video::{StreamSet, VideoDataset};
 use serde::{Deserialize, Serialize};
 
@@ -135,6 +135,9 @@ struct WindowPrep<'a> {
 /// An in-flight training job during window execution.
 struct ActiveTrain {
     exec: RetrainExecution,
+    /// The stream's system-labelled validation set through `exec`'s
+    /// frozen trunk, built once for the job's per-epoch accuracy checks.
+    sys_val: TrunkFeatures,
     alloc: f64,
     generation: Generation,
     epoch_started: SimTime,
@@ -406,15 +409,14 @@ fn run_one_window<P: Policy + ?Sized>(
             if train_alloc[s] <= 0.0 {
                 return None;
             }
-            let ds = datasets[s];
             let exec = RetrainExecution::new(
                 &states[s].model,
                 &preps[s].pool,
                 planned.config,
-                ds.num_classes,
                 cfg.hyper,
                 cfg.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
             );
+            let sys_val = exec.model().trunk_features(&preps[s].sys_val);
             let gpu_seconds_per_epoch = cfg.cost.train_epoch_gpu_seconds(
                 exec.model(),
                 exec.num_samples(),
@@ -428,6 +430,7 @@ fn run_one_window<P: Policy + ?Sized>(
             let generation = engine.new_generation();
             let mut job = ActiveTrain {
                 exec,
+                sys_val,
                 alloc: train_alloc[s],
                 generation,
                 epoch_started: SimTime::from_secs(profile_delay),
@@ -457,7 +460,7 @@ fn run_one_window<P: Policy + ?Sized>(
             let job = jobs[s].as_mut().expect("event for missing job");
             job.exec.step_epoch();
             let k = job.exec.k_done();
-            let sys_acc = job.exec.accuracy(&preps[s].sys_val);
+            let sys_acc = job.exec.accuracy(&job.sys_val);
             job.observed.push((k, sys_acc));
 
             // §5: correct the estimate when observation diverges.

@@ -80,7 +80,6 @@ fn main() {
                 layers_trained: 3,
                 data_fraction: 1.0,
             },
-            ds.num_classes,
             TrainHyper::default(),
             2,
         );
@@ -111,7 +110,6 @@ fn main() {
                 layers_trained: 3,
                 data_fraction: 1.0,
             },
-            6,
             TrainHyper::default(),
             3,
         );

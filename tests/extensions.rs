@@ -66,7 +66,6 @@ fn confusion_matrix_reveals_class_local_drift() {
             layers_trained: 3,
             data_fraction: 1.0,
         },
-        ds.num_classes,
         TrainHyper::default(),
         9,
     );
