@@ -66,14 +66,6 @@ impl Scenario {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(format!("{self:?}").as_bytes())
     }
-
-    /// Relative cost estimate used to weight this cell when the harness
-    /// packs cells into chunks ([`crate::chunk_ranges`]): simulation
-    /// work scales with streams × windows. Only chunk *shapes* depend on
-    /// this — results never do — so a rough estimate is fine.
-    pub fn cost_estimate(&self) -> f64 {
-        (self.streams.max(1) * self.windows.max(1)) as f64
-    }
 }
 
 /// One shard of a partitioned grid run: shard `index` of `count`, parsed

@@ -17,8 +17,9 @@
 //!   flattened cell range; [`merge_reports`] recombines per-shard [`HarnessReport`]s
 //!   into a file byte-identical to an unsharded run, rejecting
 //!   overlapping or missing slices.
-//! * **Resume** — every completed cell is checkpointed to a
-//!   `*.partial.json` next to the report; a rerun loads prior
+//! * **Resume** — completed cells are checkpointed to a
+//!   `*.partial.json` next to the report (about twice per worker per
+//!   run, see [`GridExec::checkpoint`]); a rerun loads prior
 //!   [`CellResult`]s (keyed by the scenario
 //!   [`fingerprint`](Scenario::fingerprint)), skips them, and executes
 //!   only the remainder, writing the same merged report the
@@ -319,60 +320,6 @@ where
         .collect()
 }
 
-/// Packs per-cell cost `weights` (in dispatch order) into contiguous
-/// chunk ranges covering `0..weights.len()`.
-///
-/// Small grid cells lose to the pool's fixed per-task costs — steal
-/// traffic, `catch_unwind`, checkpoint serialization — so the harness
-/// dispatches *chunks* of adjacent cells as one task. Chunks are closed
-/// when their accumulated weight reaches the target (total weight over
-/// `2 × workers`, so stealing still rebalances stragglers) or when they
-/// hit the cell cap. `max_cells` (the `EKYA_BATCH` knob) caps cells per
-/// chunk; `None` caps at the fair share `ceil(n / workers)`, so batching
-/// can never serialize a grid behind one worker. `max_cells = 1`
-/// reproduces the unbatched per-cell dispatch exactly.
-///
-/// Pure function of its inputs: the same weights, worker count, and cap
-/// always produce the same ranges, so chunking never threatens the
-/// parallel ≡ serial ≡ sharded byte-identity guarantees (results are
-/// reassembled in range order, which *is* dispatch order).
-pub fn chunk_ranges(
-    weights: &[f64],
-    workers: usize,
-    max_cells: Option<usize>,
-) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1);
-    let fair = n.div_ceil(workers);
-    let cap = max_cells.unwrap_or(fair).clamp(1, fair);
-    if cap == 1 {
-        return (0..n).map(|i| i..i + 1).collect();
-    }
-    let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-    // ~2 chunks per worker: big enough to amortise per-task overhead,
-    // small enough that work stealing still evens out cost estimates
-    // that turn out wrong.
-    let target = if total > 0.0 { total / (2 * workers) as f64 } else { f64::INFINITY };
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    let mut acc = 0.0f64;
-    for (i, w) in weights.iter().enumerate() {
-        acc += w.max(0.0);
-        if i + 1 - start >= cap || acc >= target {
-            ranges.push(start..i + 1);
-            start = i + 1;
-            acc = 0.0;
-        }
-    }
-    if start < n {
-        ranges.push(start..n);
-    }
-    ranges
-}
-
 /// Steals from a victim, retrying on `Steal::Retry` (a lost race is not
 /// an empty deque — treating it as one could leave a queued task behind
 /// and deadlock the order-indexed result collection).
@@ -503,6 +450,8 @@ pub struct RunStats {
     pub executed: usize,
     /// Cells skipped because a prior result was resumed.
     pub resumed: usize,
+    /// Checkpoint files written (0 without a checkpoint path).
+    pub checkpoints: usize,
 }
 
 /// A [`HarnessReport`] together with the [`RunStats`] of the run that
@@ -572,9 +521,11 @@ pub struct GridExec {
     /// Prior results keyed by scenario fingerprint
     /// ([`HarnessReport::prior_cells`]); matching cells are not re-run.
     pub prior: BTreeMap<u64, CellResult>,
-    /// When set, the partial report is rewritten here after every
-    /// completed cell (atomically, via a `.tmp` sibling), so a killed
-    /// run loses at most the cells in flight.
+    /// When set, the partial report is rewritten here (atomically, via a
+    /// `.tmp` sibling) about `2 × workers` times per run — after every
+    /// `executed / (2 × workers)` completions, after the last cell, and
+    /// before an injected crash — so a killed run loses at most the cells
+    /// completed since the last write.
     pub checkpoint: Option<PathBuf>,
     /// Fault injection: exit the whole process (code 17) once this many
     /// cells have completed in this run. Wired to the
@@ -582,11 +533,6 @@ pub struct GridExec {
     /// orchestrator's tests and CI can kill a shard mid-grid and prove
     /// retry-with-resume converges. Never set in normal operation.
     pub crash_after: Option<usize>,
-    /// Maximum cells per dispatched chunk (see [`chunk_ranges`]). `None`
-    /// (the default) sizes chunks automatically from the scenarios' cost
-    /// estimates; `Some(1)` restores per-cell dispatch. Wired to the
-    /// `EKYA_BATCH` env knob by [`run_grid_bin`].
-    pub batch: Option<usize>,
 }
 
 impl GridExec {
@@ -607,7 +553,7 @@ impl GridExec {
         self
     }
 
-    /// Enables per-cell checkpointing to `path`.
+    /// Enables checkpointing to `path` (see the field docs).
     pub fn checkpoint(mut self, path: Option<PathBuf>) -> Self {
         self.checkpoint = path;
         self
@@ -617,12 +563,6 @@ impl GridExec {
     /// cells (see the field docs).
     pub fn crash_after(mut self, n: Option<usize>) -> Self {
         self.crash_after = n;
-        self
-    }
-
-    /// Caps cells per dispatched chunk (see the field docs).
-    pub fn batch(mut self, batch: Option<usize>) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -671,88 +611,66 @@ impl GridExec {
         let executed = pending.len();
 
         // Checkpoint state starts from the resumed cells, so a partial
-        // file always holds *everything* completed so far.
-        let ckpt = self
-            .checkpoint
-            .as_ref()
-            .map(|path| (path.as_path(), Mutex::new(done.clone()), Mutex::new(0usize)));
-        let envelope = (self.name.as_str(), total, self.shard);
+        // file always holds *everything* completed so far. Each write
+        // re-serialises every completed cell, so writes are spaced
+        // `stride` completions apart (~2 per worker per run) rather than
+        // one per cell, which would cost O(cells²) bytes.
+        let ckpt = self.checkpoint.as_deref().map(|path| Checkpoint {
+            path,
+            envelope: (self.name.as_str(), total, self.shard),
+            done: Mutex::new(done.clone()),
+            io: Mutex::new(CheckpointIo::default()),
+        });
+        let stride = executed.div_ceil(2 * self.workers.max(1)).max(1);
         let completed = std::sync::atomic::AtomicUsize::new(0);
 
-        // Pack contiguous runs of pending cells into cost-weighted chunks
-        // so the pool's fixed per-task costs (steal traffic, checkpoint
-        // serialization) amortise across several small cells. Per-cell
-        // seeding, panic isolation, and checkpoint bytes are untouched —
-        // chunks are reassembled in dispatch order, so the report stays
-        // byte-identical to per-cell (and serial, and sharded) dispatch.
-        let weights: Vec<f64> = pending.iter().map(|(_, sc)| sc.cost_estimate()).collect();
-        let ranges = chunk_ranges(&weights, self.workers, self.batch);
-        let chunks: Vec<Vec<(usize, Scenario)>> =
-            ranges.iter().map(|r| pending[r.clone()].to_vec()).collect();
-
+        // One work-stealing task per cell: stealing balances cells of any
+        // cost without an estimate of it.
         let started = Instant::now();
-        let chunk_results =
-            run_parallel(chunks, self.workers, |_, chunk: Vec<(usize, Scenario)>| {
-                let _chunk_wall = ekya_telemetry::timing::wall_span("bench.grid", "chunk");
-                let mut out: Vec<Result<CellResult, String>> = Vec::with_capacity(chunk.len());
-                for (idx, sc) in chunk {
-                    // Per-cell panic isolation, exactly as when every cell
-                    // was its own task: a poisoned cell ends up as an Err
-                    // slot and the rest of the chunk still runs.
-                    let result = {
-                        let _cell_wall =
-                            ekya_telemetry::timing::wall_span("bench.grid", "cell_exec");
-                        // Scope deep instrumentation (profiler, scheduler)
-                        // fired during eval to this cell's fingerprint, so
-                        // its logical records sort identically no matter
-                        // which worker — or which shard — ran the cell.
-                        let _cell_ctx = ekya_telemetry::enabled().then(|| {
-                            ekya_telemetry::Ctx::current()
-                                .cell(format!("{:016x}", sc.fingerprint()))
-                                .enter()
-                        });
-                        catch_unwind(AssertUnwindSafe(|| eval(&sc))).map_err(panic_message)
-                    };
-                    if let (Ok(cell), Some((_, state, _))) = (&result, &ckpt) {
-                        state.lock().expect("checkpoint state").insert(idx, cell.clone());
-                    }
-                    out.push(result);
-                    // Fault injection: flush the checkpoint *before* dying,
-                    // so the kill the orchestrator's tests simulate is the
-                    // realistic one — progress survives, the run does not.
-                    let n = completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-                    if self.crash_after.is_some_and(|k| n >= k) {
-                        flush_checkpoint(&ckpt, envelope);
-                        eprintln!(
-                            "[{}: injected crash after {n} cells (EKYA_ORCH_CRASH_AFTER)]",
-                            self.name
-                        );
-                        std::process::exit(17);
-                    }
-                }
-                // One checkpoint write per chunk instead of per cell — the
-                // state map already holds every completion, and queued
-                // writers collapse into the newest snapshot.
-                flush_checkpoint(&ckpt, envelope);
-                out
-            });
-        let wall_secs = started.elapsed().as_secs_f64();
-
-        // Flatten chunk results back into pending order. A failure outside
-        // any cell's own guard (the checkpoint machinery itself) poisons
-        // the whole chunk: fan its message out to every cell it covered.
-        let mut results: Vec<Result<CellResult, String>> = Vec::with_capacity(executed);
-        for (range, chunk_result) in ranges.iter().zip(chunk_results) {
-            match chunk_result {
-                Ok(cells) => results.extend(cells),
-                Err(message) => results.extend(range.clone().map(|_| Err(message.clone()))),
+        let results = run_parallel(pending.iter().collect(), self.workers, |_, (idx, sc)| {
+            // The cell's own guard (inside the pool's): a poisoned cell
+            // still counts toward crash injection and checkpoint cadence.
+            let result = {
+                let _cell_wall = ekya_telemetry::timing::wall_span("bench.grid", "cell_exec");
+                // Scope deep instrumentation (profiler, scheduler) fired
+                // during eval to this cell's fingerprint, so its logical
+                // records sort identically no matter which worker — or
+                // which shard — ran the cell.
+                let _cell_ctx = ekya_telemetry::enabled().then(|| {
+                    ekya_telemetry::Ctx::current()
+                        .cell(format!("{:016x}", sc.fingerprint()))
+                        .enter()
+                });
+                catch_unwind(AssertUnwindSafe(|| eval(sc))).map_err(panic_message)
+            };
+            if let (Ok(cell), Some(ckpt)) = (&result, &ckpt) {
+                ckpt.done.lock().expect("checkpoint state").insert(*idx, cell.clone());
             }
-        }
+            let n = completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            // Fault injection: flush the checkpoint *before* dying, so the
+            // kill the orchestrator's tests simulate is the realistic one
+            // — progress survives, the run does not.
+            if self.crash_after.is_some_and(|k| n >= k) {
+                ckpt.iter().for_each(Checkpoint::flush);
+                eprintln!(
+                    "[{}: injected crash after {n} cells (EKYA_ORCH_CRASH_AFTER)]",
+                    self.name
+                );
+                std::process::exit(17);
+            }
+            if n.is_multiple_of(stride) || n == executed {
+                ckpt.iter().for_each(Checkpoint::flush);
+            }
+            result
+        });
+        let wall_secs = started.elapsed().as_secs_f64();
+        let checkpoints = ckpt.map_or(0, |c| c.io.into_inner().expect("checkpoint io").writes);
 
         // Merge fresh results (poisoned slots backfilled from the
         // scenario) with the resumed cells, in global grid order.
+        // An outer `Err` means the checkpoint machinery itself panicked.
         for ((idx, sc), result) in pending.into_iter().zip(results) {
-            let cell = match result {
+            let cell = match result.and_then(|cell| cell) {
                 Ok(cell) => cell,
                 Err(message) => CellResult {
                     policy: sc.policy.label(),
@@ -815,6 +733,7 @@ impl GridExec {
                 },
                 executed,
                 resumed,
+                checkpoints,
             },
         }
     }
@@ -826,27 +745,44 @@ pub fn run_grid(grid: &Grid, workers: usize) -> GridRun {
     GridExec::new("grid", workers).run(grid)
 }
 
-/// Writes the checkpoint if it is stale: records the current completion
-/// count under the state lock, then serializes under the separate IO
-/// lock so other chunks keep completing while the snapshot hits the
-/// disk. The count is monotonic (inserts only), so a writer that waited
-/// behind a later completion finds its sequence already covered and
-/// skips — queued writers collapse into the newest one, and only the
-/// winner pays for the snapshot clone, taken *after* winning so it
-/// includes every completion to date.
-#[allow(clippy::type_complexity)] // mirrors the ckpt tuple built in run_with
-fn flush_checkpoint(
-    ckpt: &Option<(&Path, Mutex<BTreeMap<usize, CellResult>>, Mutex<usize>)>,
-    envelope: (&str, usize, Option<ShardSpec>),
-) {
-    let Some((path, state, written)) = ckpt else { return };
-    let _ckpt_wall = ekya_telemetry::timing::wall_span("bench.grid", "checkpoint_flush");
-    let seq = state.lock().expect("checkpoint state").len();
-    let mut written = written.lock().expect("checkpoint io");
-    if *written < seq {
-        let snapshot = state.lock().expect("checkpoint state").clone();
-        *written = snapshot.len();
-        write_checkpoint(path, envelope, snapshot);
+/// The checkpoint of one [`GridExec`] run, shared by its workers.
+struct Checkpoint<'a> {
+    path: &'a Path,
+    /// Report identity: `(name, total_cells, shard)`.
+    envelope: (&'a str, usize, Option<ShardSpec>),
+    /// Every cell completed so far, resumed ones included, by grid index.
+    done: Mutex<BTreeMap<usize, CellResult>>,
+    io: Mutex<CheckpointIo>,
+}
+
+/// The IO side of a [`Checkpoint`], serialised under its own lock.
+#[derive(Default)]
+struct CheckpointIo {
+    /// Cells held by the newest write.
+    covered: usize,
+    /// Writes made.
+    writes: usize,
+}
+
+impl Checkpoint<'_> {
+    /// Writes the checkpoint if it is stale: reads the completion count
+    /// under the state lock, then serializes under the separate IO lock
+    /// so other cells keep completing while the snapshot hits the disk.
+    /// The count is monotonic (inserts only), so a writer that waited
+    /// behind a later completion finds its count already covered and
+    /// skips — queued writers collapse into the newest one, and only the
+    /// winner pays for the snapshot clone, taken *after* winning so it
+    /// includes every completion to date.
+    fn flush(&self) {
+        let _ckpt_wall = ekya_telemetry::timing::wall_span("bench.grid", "checkpoint_flush");
+        let seq = self.done.lock().expect("checkpoint state").len();
+        let mut io = self.io.lock().expect("checkpoint io");
+        if io.covered < seq {
+            let snapshot = self.done.lock().expect("checkpoint state").clone();
+            io.covered = snapshot.len();
+            io.writes += 1;
+            write_checkpoint(self.path, self.envelope, snapshot);
+        }
     }
 }
 
@@ -1019,7 +955,7 @@ fn load_prior(final_path: &Path, partial_path: &Path) -> (BTreeMap<u64, CellResu
 
 /// The environment-driven front door for grid bins: applies the
 /// `EKYA_SHARD` slice, resumes from a prior report when `EKYA_RESUME` is
-/// set, checkpoints every completed cell, saves the final report to
+/// set, checkpoints completed cells, saves the final report to
 /// [`report_path`], and removes the checkpoint on success.
 ///
 /// Returns the run so the bin can print tables (gated on
@@ -1085,7 +1021,7 @@ where
     );
 
     // The checkpoint lives under results/ — create it *before* the run,
-    // or every per-cell checkpoint write on a fresh checkout fails
+    // or every checkpoint write on a fresh checkout fails
     // silently and a killed first run has nothing to resume from.
     let _ = std::fs::create_dir_all(results_dir());
     let crash_after = crate::knob::orch_crash_after();
@@ -1094,7 +1030,6 @@ where
         .prior(prior)
         .checkpoint(Some(partial.clone()))
         .crash_after(crash_after)
-        .batch(crate::knob::batch())
         .run_with(grid, eval);
 
     if run.stats.resumed > 0 {

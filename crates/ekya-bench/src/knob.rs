@@ -22,15 +22,6 @@ pub fn min_speedup() -> Option<f64> {
     std::env::var("EKYA_MIN_SPEEDUP").ok().and_then(|v| v.parse().ok())
 }
 
-/// `EKYA_BATCH` — maximum grid cells per work-stealing task. Unset
-/// means the harness sizes chunks automatically from per-cell cost
-/// estimates (see [`crate::chunk_ranges`]); `EKYA_BATCH=1` disables
-/// batching (one cell per task, the pre-batching dispatch). Values are
-/// floored at 1.
-pub fn batch() -> Option<usize> {
-    std::env::var("EKYA_BATCH").ok().and_then(|v| v.parse::<usize>().ok()).map(|n| n.max(1))
-}
-
 /// `EKYA_BENCH_FULL=1` — `harness_bench` additionally measures (and
 /// gates) the full-size fig06 grid as the `fig06_full_grid` record. Off
 /// by default: the full grid is minutes of work, so only the nightly CI
@@ -165,7 +156,6 @@ mod tests {
         assert_eq!(std::env::var_os("EKYA_SERVE_CRASH_AFTER"), None);
         assert_eq!(std::env::var_os("EKYA_STREAMS_LIVE"), None);
         assert_eq!(std::env::var_os("EKYA_ARRIVAL"), None);
-        assert_eq!(std::env::var_os("EKYA_BATCH"), None);
         assert_eq!(std::env::var_os("EKYA_BENCH_FULL"), None);
         assert_eq!(std::env::var_os("EKYA_TRACE"), None);
         assert_eq!(min_speedup(), None);
@@ -176,7 +166,6 @@ mod tests {
         assert_eq!(streams_live(), None);
         assert_eq!(arrival(), "uniform");
         assert_eq!(bench_tolerance(), 0.25);
-        assert_eq!(batch(), None);
         assert!(!bench_full());
         assert_eq!(effective_min_speedup(4), None);
     }

@@ -62,9 +62,9 @@ pub use config_profile::{
 };
 pub use grid::{cell_seed, coverage_order, fig06_grid, fnv1a, Grid, Scenario, ShardSpec};
 pub use harness::{
-    append_bench_series, bench_baseline_path, bench_series_path, chunk_ranges, default_workers,
-    git_describe, latest_bench_entry, load_report, merge_reports, read_bench_baseline, report_path,
-    run_grid, run_grid_bin, run_grid_bin_with, run_parallel, run_scenario, trace_path, BenchRecord,
+    append_bench_series, bench_baseline_path, bench_series_path, default_workers, git_describe,
+    latest_bench_entry, load_report, merge_reports, read_bench_baseline, report_path, run_grid,
+    run_grid_bin, run_grid_bin_with, run_parallel, run_scenario, trace_path, BenchRecord,
     BenchSeriesEntry, CellResult, GridExec, GridRun, HarnessReport, Knobs, RunStats,
 };
 

@@ -1,20 +1,17 @@
-//! Integration tests for chunked (batched) dispatch — the guarantees
-//! the batching layer documents:
+//! Integration tests for per-cell grid dispatch — the guarantees the
+//! harness documents:
 //!
-//! 1. [`chunk_ranges`] is a pure, contiguous, cap-respecting cover of
-//!    the dispatch order;
-//! 2. batched parallel execution is **byte-identical** to serial, to
-//!    per-cell dispatch (`EKYA_BATCH=1`), and to a 2-shard merged run,
-//!    at every batch size;
-//! 3. a poisoned cell inside a chunk fails alone — the rest of its
-//!    chunk still runs;
-//! 4. resume composes with batching, including a prior that cuts a
-//!    chunk in half (the shape a mid-chunk kill leaves behind) and a
-//!    real killed-process run (crash injection mid-chunk, then
-//!    `EKYA_RESUME=1`).
+//! 1. parallel execution is **byte-identical** to serial at any worker
+//!    count, and to a 2-shard merged run;
+//! 2. a poisoned cell fails alone;
+//! 3. resume from a prior covering any subset of the cells changes
+//!    nothing, including after a real killed-process run (crash
+//!    injection, then `EKYA_RESUME=1`);
+//! 4. checkpoints are written about twice per worker per run, not once
+//!    per cell.
 
 use ekya_baselines::PolicySpec;
-use ekya_bench::{chunk_ranges, merge_reports, Grid, GridExec, HarnessReport, ShardSpec};
+use ekya_bench::{fig06_grid, merge_reports, Grid, GridExec, HarnessReport, ShardSpec};
 use ekya_video::DatasetKind;
 
 /// A small but real grid: every cell runs actual retraining windows.
@@ -31,143 +28,125 @@ fn bytes(report: &HarnessReport) -> String {
 }
 
 #[test]
-fn chunk_ranges_cover_contiguously_and_respect_caps() {
-    // Empty input → no chunks.
-    assert!(chunk_ranges(&[], 4, None).is_empty());
-
-    // Any output must tile 0..n in order, without gaps or overlaps, and
-    // respect the fair-share cap ceil(n / workers).
-    let uniform = vec![1.0; 10];
-    for (workers, cap) in [(1, None), (4, None), (4, Some(2)), (3, Some(100)), (16, None)] {
-        let ranges = chunk_ranges(&uniform, workers, cap);
-        let mut next = 0usize;
-        let fair = uniform.len().div_ceil(workers.max(1));
-        for r in &ranges {
-            assert_eq!(r.start, next, "ranges must tile contiguously");
-            assert!(r.end > r.start, "empty chunk");
-            assert!(r.len() <= fair, "chunk of {} cells exceeds fair share {fair}", r.len());
-            if let Some(cap) = cap {
-                assert!(r.len() <= cap.max(1), "chunk exceeds EKYA_BATCH cap {cap}");
-            }
-            next = r.end;
-        }
-        assert_eq!(next, uniform.len(), "ranges must cover every cell");
-    }
-
-    // max_cells = 1 reproduces per-cell dispatch exactly.
-    let singletons = chunk_ranges(&uniform, 4, Some(1));
-    assert_eq!(singletons, (0..10).map(|i| i..i + 1).collect::<Vec<_>>());
-
-    // A heavyweight cell closes its chunk early: nothing else should be
-    // serialized behind it.
-    let skewed = [100.0, 1.0, 1.0, 1.0];
-    let ranges = chunk_ranges(&skewed, 2, None);
-    assert_eq!(ranges[0], 0..1, "the heavy cell must be dispatched alone, got {ranges:?}");
-
-    // Pure function: identical inputs, identical ranges.
-    assert_eq!(chunk_ranges(&skewed, 2, None), chunk_ranges(&skewed, 2, None));
-}
-
-#[test]
-fn batched_runs_are_byte_identical_across_batch_sizes() {
+fn parallel_runs_are_byte_identical_to_serial() {
     let grid = tiny_grid();
-    // Reference: serial per-cell dispatch — the pre-batching behaviour.
-    let reference = GridExec::new("tiny", 1).batch(Some(1)).run(&grid);
+    let reference = GridExec::new("tiny", 1).run(&grid);
     assert_eq!(reference.report.failed, 0);
     let expect = bytes(&reference.report);
 
-    for batch in [None, Some(1), Some(2), Some(3), Some(64)] {
-        for workers in [1, 4] {
-            let run = GridExec::new("tiny", workers).batch(batch).run(&grid);
-            assert_eq!(
-                bytes(&run.report),
-                expect,
-                "batch={batch:?} workers={workers} diverged from serial per-cell dispatch"
-            );
-        }
+    for workers in [2, 3, 8] {
+        let run = GridExec::new("tiny", workers).run(&grid);
+        assert_eq!(bytes(&run.report), expect, "workers={workers} diverged from serial dispatch");
     }
 }
 
 #[test]
-fn sharded_batched_union_matches_unbatched_unsharded() {
+fn sharded_union_matches_unsharded() {
     let grid = tiny_grid();
-    let reference = GridExec::new("tiny", 1).batch(Some(1)).run(&grid);
+    let reference = GridExec::new("tiny", 1).run(&grid);
 
-    let shard0 =
-        GridExec::new("tiny", 2).batch(Some(2)).shard(Some(ShardSpec { index: 0, count: 2 }));
-    let shard1 =
-        GridExec::new("tiny", 2).batch(Some(2)).shard(Some(ShardSpec { index: 1, count: 2 }));
+    let shard = |index| GridExec::new("tiny", 2).shard(Some(ShardSpec { index, count: 2 }));
     let merged =
-        merge_reports(&[shard1.run(&grid).report, shard0.run(&grid).report]).expect("merge");
+        merge_reports(&[shard(1).run(&grid).report, shard(0).run(&grid).report]).expect("merge");
     assert_eq!(
         bytes(&merged),
         bytes(&reference.report),
-        "batched 2-shard union must be byte-identical to the unbatched unsharded run"
+        "2-shard union must be byte-identical to the unsharded run"
     );
 }
 
 #[test]
-fn poisoned_cell_mid_chunk_fails_alone() {
-    // streams = 0 makes the runner panic; with the whole grid packed
-    // into one chunk, the panic must still be contained to its own cell.
+fn poisoned_cell_fails_alone() {
+    // streams = 0 makes the runner panic; the panic must be contained to
+    // its own cell at any worker count.
     let grid = Grid::new(2, 42)
         .datasets(&[DatasetKind::Waymo])
         .stream_counts(&[0, 1, 2])
         .gpu_counts(&[1.0])
         .policies(vec![PolicySpec::Ekya]);
-    let report = GridExec::new("tiny", 1).batch(Some(16)).run(&grid).report;
+    for workers in [1, 2] {
+        let report = GridExec::new("tiny", workers).run(&grid).report;
 
-    assert_eq!(report.cells.len(), 3);
-    assert_eq!(report.failed, 1);
-    let poisoned = report.cells.iter().find(|c| c.scenario.streams == 0).unwrap();
-    assert!(
-        poisoned.error.as_deref().unwrap_or_default().contains("need at least one stream"),
-        "poisoned cell should carry the panic message, got {:?}",
-        poisoned.error
-    );
-    for healthy in report.cells.iter().filter(|c| c.scenario.streams > 0) {
-        assert!(healthy.error.is_none(), "chunk-mate of the poisoned cell failed too");
-        assert!(healthy.mean_accuracy > 0.0);
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.failed, 1);
+        let poisoned = report.cells.iter().find(|c| c.scenario.streams == 0).unwrap();
+        assert!(
+            poisoned.error.as_deref().unwrap_or_default().contains("need at least one stream"),
+            "poisoned cell should carry the panic message, got {:?}",
+            poisoned.error
+        );
+        for healthy in report.cells.iter().filter(|c| c.scenario.streams > 0) {
+            assert!(healthy.error.is_none(), "a neighbour of the poisoned cell failed too");
+            assert!(healthy.mean_accuracy > 0.0);
+        }
     }
 }
 
 #[test]
-fn resume_from_a_mid_chunk_prior_is_byte_identical() {
+fn resume_from_any_subset_prior_is_byte_identical() {
     let grid = tiny_grid();
-    let full = GridExec::new("tiny", 2).batch(Some(2)).run(&grid);
+    let full = GridExec::new("tiny", 2).run(&grid);
+    let n = full.report.cells.len();
 
-    // With batch(2) the 4 cells dispatch as chunks [0,1] and [2,3]. A
-    // prior holding only cell 0 is exactly what a kill one cell into the
-    // first chunk leaves behind (the checkpoint is flushed before the
-    // injected exit) — resuming must fill in the other three cells and
-    // change nothing.
-    let truncated = HarnessReport {
-        cells: full.report.cells.iter().take(1).cloned().collect(),
-        ..full.report.clone()
-    };
-    let resumed = GridExec::new("tiny", 2).batch(Some(2)).prior(truncated.prior_cells()).run(&grid);
-    assert_eq!(resumed.stats.resumed, 1);
-    assert_eq!(resumed.stats.executed, 3);
-    assert_eq!(
-        bytes(&resumed.report),
-        bytes(&full.report),
-        "mid-chunk resume must not change a byte"
-    );
+    // Every subset of the 4 cells as the prior — the empty one, the
+    // full one, and every gappy shape a kill can leave behind.
+    for mask in 0..(1u32 << n) {
+        let kept = |i: usize| mask & (1 << i) != 0;
+        let prior = HarnessReport {
+            cells: (0..n).filter(|&i| kept(i)).map(|i| full.report.cells[i].clone()).collect(),
+            ..full.report.clone()
+        };
+        let resumed = GridExec::new("tiny", 2).prior(prior.prior_cells()).run(&grid);
+        let hits = mask.count_ones() as usize;
+        assert_eq!((resumed.stats.resumed, resumed.stats.executed), (hits, n - hits));
+        assert_eq!(
+            bytes(&resumed.report),
+            bytes(&full.report),
+            "resume from prior mask {mask:#06b} must not change a byte"
+        );
+    }
 }
 
-/// The real kill: run the fig06 bin as a subprocess with batching on
-/// (`EKYA_BATCH=3`) and crash injection two cells in — mid-chunk — then
-/// resume it. The checkpoint flushed before the injected exit must hold
-/// exactly the two completed cells, and the resumed run's report must be
-/// byte-identical to an undisturbed run's.
+/// Per-cell dispatch must not multiply checkpoint writes: each write
+/// re-serialises every completed cell. The cost-weighted chunking it
+/// replaced wrote one checkpoint per chunk — 4 for the fig06-quick grid
+/// on 2 workers (chunks of 7, 4, 7 and 2 cells).
 #[test]
-fn killed_mid_chunk_run_resumes_to_byte_identical_report() {
+fn checkpoint_writes_stay_at_two_per_worker() {
+    let grid = fig06_grid(true, 1, 42);
+    let dir = std::env::temp_dir().join(format!("ekya_ckpt_count_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fig06.partial.json");
+
+    let run = GridExec::new("fig06", 2).checkpoint(Some(path.clone())).run(&grid);
+    assert_eq!(run.report.cells.len(), 20);
+    assert!(
+        (1..=4).contains(&run.stats.checkpoints),
+        "{} checkpoint writes for 20 cells on 2 workers (chunked dispatch wrote 4)",
+        run.stats.checkpoints
+    );
+    // The last write holds every cell.
+    let last: HarnessReport =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(bytes(&last), bytes(&run.report));
+
+    // Without a checkpoint path nothing is written.
+    assert_eq!(GridExec::new("fig06", 2).run(&tiny_grid()).stats.checkpoints, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The real kill: run the fig06 bin as a subprocess with crash injection
+/// two cells in, then resume it. The checkpoint flushed before the
+/// injected exit must hold exactly the two completed cells, and the
+/// resumed run's report must be byte-identical to an undisturbed run's.
+#[test]
+fn killed_run_resumes_to_byte_identical_report() {
     let bin = env!("CARGO_BIN_EXE_fig06_streams");
     let base: &[(&str, &str)] =
         &[("EKYA_QUICK", "1"), ("EKYA_WINDOWS", "1"), ("EKYA_SEED", "42"), ("EKYA_WORKERS", "2")];
     let run = |dir: &std::path::Path, extra: &[(&str, &str)]| {
         let mut cmd = std::process::Command::new(bin);
-        for var in ["EKYA_SHARD", "EKYA_RESUME", "EKYA_BATCH", "EKYA_ORCH_CRASH_AFTER"] {
+        for var in ["EKYA_SHARD", "EKYA_RESUME", "EKYA_ORCH_CRASH_AFTER"] {
             cmd.env_remove(var);
         }
         cmd.envs(base.iter().copied())
@@ -177,35 +156,30 @@ fn killed_mid_chunk_run_resumes_to_byte_identical_report() {
             .expect("fig06_streams spawns")
     };
     let temp = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!("ekya_batch_{tag}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ekya_kill_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     };
 
-    // Undisturbed reference run (auto batch size — byte identity is
-    // guaranteed across batch sizes, so it need not match the killed
-    // run's EKYA_BATCH).
+    // Undisturbed reference run.
     let ref_dir = temp("ref");
     assert!(run(&ref_dir, &[]).success(), "reference run failed");
     let reference = std::fs::read(ref_dir.join("fig06_streams.json")).expect("reference report");
 
-    // Killed run: chunks of 3, injected exit after 2 completed cells.
+    // Killed run: injected exit after 2 completed cells.
     let run_dir = temp("kill");
-    let status = run(&run_dir, &[("EKYA_BATCH", "3"), ("EKYA_ORCH_CRASH_AFTER", "2")]);
+    let status = run(&run_dir, &[("EKYA_ORCH_CRASH_AFTER", "2")]);
     assert_eq!(status.code(), Some(17), "crash injection must exit 17");
     let partial: HarnessReport = serde_json::from_str(
         &std::fs::read_to_string(run_dir.join("fig06_streams.partial.json"))
-            .expect("mid-chunk kill must leave a checkpoint"),
+            .expect("a kill must leave a checkpoint"),
     )
     .expect("checkpoint parses");
     assert_eq!(partial.cells.len(), 2, "checkpoint must hold exactly the completed cells");
 
     // Resume and converge.
-    assert!(
-        run(&run_dir, &[("EKYA_BATCH", "3"), ("EKYA_RESUME", "1")]).success(),
-        "resumed run failed"
-    );
+    assert!(run(&run_dir, &[("EKYA_RESUME", "1")]).success(), "resumed run failed");
     let resumed = std::fs::read(run_dir.join("fig06_streams.json")).expect("resumed report");
     assert_eq!(resumed, reference, "killed+resumed report must be byte-identical");
     assert!(

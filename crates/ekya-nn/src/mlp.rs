@@ -542,9 +542,7 @@ impl Mlp {
                 delta.matmul_t_into(&self.layers[i].w, delta_next);
                 let mask = &masks[i - 1];
                 for (v, &m) in delta_next.data_mut().iter_mut().zip(mask.iter()) {
-                    if !m {
-                        *v = 0.0;
-                    }
+                    *v = if m { *v } else { 0.0 };
                 }
                 std::mem::swap(delta, delta_next);
             }

@@ -4,6 +4,19 @@
 //! robustness over cleverness. No BLAS, no SIMD intrinsics, no lifetime
 //! tricks — just `Vec<f32>` with explicit shape checks that panic early on
 //! programmer error (shape mismatches are bugs, not runtime conditions).
+//!
+//! The hot kernels stay plain loops but are written so the compiler can
+//! vectorise them without changing a bit of the arithmetic:
+//!
+//! * **No data-dependent branches.** About half of all hidden
+//!   activations are positive, so a branch on an activation's sign (or a
+//!   skip of zero operands) mispredicts about half the time. The ReLU
+//!   mask and the backprop mask are selects, and the GEMMs have no zero
+//!   skip — a ±0 term leaves an ascending sum from +0 unchanged.
+//! * **No bounds checks in inner loops.** Slices are re-sliced to the
+//!   exact length of the loop they feed (e.g. `matmul_into`'s four tile
+//!   rows to `n`), so the compiler can prove every index in range and
+//!   hoist the checks.
 
 use serde::{Deserialize, Serialize};
 
@@ -148,6 +161,9 @@ impl Matrix {
             let (o0, rest) = tile.split_at_mut(n);
             let (o1, rest) = rest.split_at_mut(n);
             let (o2, o3) = rest.split_at_mut(n);
+            // Re-sliced to exactly `n`: with every row's length visibly
+            // equal to `b_row`'s, the `j` loop carries no bounds checks.
+            let (o0, o1, o2, o3) = (&mut o0[..n], &mut o1[..n], &mut o2[..n], &mut o3[..n]);
             for kk in 0..k {
                 let (a0, a1, a2, a3) = (a[kk], a[k + kk], a[2 * k + kk], a[3 * k + kk]);
                 let b_row = &rhs.data[kk * n..(kk + 1) * n];
@@ -182,6 +198,11 @@ impl Matrix {
     /// [`Matrix::t_matmul`] writing into a caller-owned output matrix —
     /// the backprop weight-gradient kernel, allocation-free when the
     /// caller reuses `out`. Numerically identical to `t_matmul`.
+    ///
+    /// Like [`Matrix::matmul_into`], it has no zero skip: each output
+    /// element sums over k in ascending order from +0, and the ±0 term
+    /// of a zero `a` (a ReLU'd activation) leaves that sum's bits
+    /// unchanged for finite `rhs`.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul leading dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
@@ -190,9 +211,6 @@ impl Matrix {
             let a_row = &self.data[kk * m..(kk + 1) * m];
             let b_row = &rhs.data[kk * n..(kk + 1) * n];
             for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let out_row = &mut out.data[i * n..(i + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
@@ -291,18 +309,19 @@ pub fn relu_inplace(m: &mut Matrix) -> Vec<bool> {
     mask
 }
 
-/// [`relu_inplace`] writing the mask into a caller-owned buffer (cleared
-/// here), so the training loop reuses one mask allocation per layer.
+/// [`relu_inplace`] writing the mask into a caller-owned buffer (resized
+/// to the matrix here), so the training loop reuses one mask allocation
+/// per layer.
+///
+/// Branch-free: roughly half of all hidden activations are positive, so
+/// a branch on each sign would mispredict about half the time. The
+/// select keeps `v` where `v > 0` and writes +0 elsewhere — -0, NaN and
+/// negatives included, exactly as a branchy `if v > 0 {..} else {v = 0}`.
 pub fn relu_inplace_into(m: &mut Matrix, mask: &mut Vec<bool>) {
-    mask.clear();
-    mask.reserve(m.data.len());
-    for v in m.data.iter_mut() {
-        if *v > 0.0 {
-            mask.push(true);
-        } else {
-            *v = 0.0;
-            mask.push(false);
-        }
+    mask.resize(m.data.len(), false);
+    for (v, keep) in m.data.iter_mut().zip(mask.iter_mut()) {
+        *keep = *v > 0.0;
+        *v = if *keep { *v } else { 0.0 };
     }
 }
 
@@ -367,6 +386,44 @@ mod tests {
         let mask = relu_inplace(&mut m);
         assert_eq!(m.data(), &[0.0, 0.0, 2.0, 0.0]);
         assert_eq!(mask, vec![false, false, true, false]);
+    }
+
+    /// The branch-free ReLU against the branchy reference it replaced,
+    /// on every sign class of f32 — ±0, negatives, subnormals, ±inf and
+    /// NaN — writing into a dirty mask longer than the matrix.
+    #[test]
+    fn relu_into_matches_branchy_reference() {
+        let sub = f32::from_bits(1);
+        let values = vec![
+            0.0,
+            -0.0,
+            -1.5,
+            2.25,
+            sub,
+            -sub,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+        ];
+        let mut want = values.clone();
+        let mut want_mask = Vec::new();
+        for v in want.iter_mut() {
+            if *v > 0.0 {
+                want_mask.push(true);
+            } else {
+                *v = 0.0;
+                want_mask.push(false);
+            }
+        }
+        let mut m = Matrix::from_vec(3, 4, values);
+        let mut mask = vec![true; 20];
+        relu_inplace_into(&mut m, &mut mask);
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(m.data()), bits(&want));
+        assert_eq!(mask, want_mask);
     }
 
     #[test]
@@ -445,7 +502,8 @@ mod tests {
     /// pre-optimisation order, with no zero skip. Row counts 1–9 run every
     /// remainder of the 4-row tile (and one or two full tiles); n = 6
     /// covers one full 4-wide `matmul_t` block *and* a scalar remainder.
-    /// The left operands hold exact zeros of both signs.
+    /// The left operands hold exact zeros of both signs, the terms a
+    /// zero skip would have bypassed.
     #[test]
     fn gemm_kernels_are_bit_identical_to_naive_reference() {
         let (k, n) = (7, 6);
@@ -461,12 +519,16 @@ mod tests {
             });
             assert_bits(&format!("matmul m={m}"), &c, &naive);
 
-            let at = fill_with_zeros(k, m, m + 3); // k x m — t_matmul computes at^T * b
-            let c = at.t_matmul(&b);
-            let naive = Matrix::from_fn(m, n, |i, j| {
-                (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
+            // t_matmul's left operand has m rows here (its k), so the
+            // sweep also varies the length of the accumulated sum.
+            let at = fill_with_zeros(m, k, m + 3); // m x k — t_matmul computes at^T * bm
+            let bm = fill(m, n, m + 1);
+            assert!(at.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()));
+            let c = at.t_matmul(&bm);
+            let naive = Matrix::from_fn(k, n, |i, j| {
+                (0..m).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * bm.get(kk, j))
             });
-            assert_bits(&format!("t_matmul m={m}"), &c, &naive);
+            assert_bits(&format!("t_matmul rows={m}"), &c, &naive);
 
             let c = a.matmul_t(&bt);
             let naive = Matrix::from_fn(m, n, |i, j| {
@@ -493,6 +555,10 @@ mod tests {
             assert_bits(&format!("matmul_into m={m} (dirty)"), &out, &a.matmul(&b));
             at.t_matmul_into(&b, &mut out);
             assert_bits(&format!("t_matmul_into m={m} (dirty)"), &out, &at.t_matmul(&b));
+            // And with m rows on the left (k x m output for any m).
+            let (am, bm) = (fill_with_zeros(m, 7, m + 9), fill(m, 6, m + 2));
+            am.t_matmul_into(&bm, &mut out);
+            assert_bits(&format!("t_matmul_into rows={m} (dirty)"), &out, &am.t_matmul(&bm));
             a.matmul_t_into(&bt, &mut out);
             assert_bits(&format!("matmul_t_into m={m} (dirty)"), &out, &a.matmul_t(&bt));
         }

@@ -259,9 +259,18 @@ fn run_one_window<P: Policy + ?Sized>(
             let pool = state.memory.training_mix(&fresh);
             let sys_val = distill_labels(&mut state.teacher, &w.val);
             let true_val: &[Sample] = &w.val;
-            let nc = ds.num_classes;
-            let serving_true = state.model.accuracy(DataView::new(true_val, nc));
-            let serving_sys = state.model.accuracy(DataView::new(&sys_val, nc));
+            // Both label sets annotate the same frames: one forward pass
+            // scores the model against each.
+            let preds = state.model.predict(true_val);
+            let hit_rate = |labels: &[Sample]| {
+                if labels.is_empty() {
+                    return 0.0;
+                }
+                let hits = preds.iter().zip(labels).filter(|(p, l)| **p == l.y).count();
+                hits as f64 / labels.len() as f64
+            };
+            let serving_true = hit_rate(true_val);
+            let serving_sys = hit_rate(&sys_val);
             WindowPrep {
                 pool,
                 sys_val,
