@@ -4,9 +4,9 @@
 #   ./ci.sh quick   — fmt + clippy + a quick-mode harness smoke across
 #                     several bins (including a 2-shard + grid_merge
 #                     byte-identity check and a supervised ekya_grid run
-#                     with an injected shard kill) + the harness perf
-#                     gate. Minutes, not tens of minutes; what the CI
-#                     quick job runs.
+#                     with an injected shard kill), the live_edge_server
+#                     example, and the harness perf gate. Minutes, not
+#                     tens of minutes; what the CI quick job runs.
 #   ./ci.sh full    — the complete sweep: formatting, lints, rustdoc
 #                     (deny warnings), the release build, every target
 #                     (examples, benches, bins), the full test suite,
@@ -118,6 +118,12 @@ case "$MODE" in
       cargo run --release -q -p ekya-bench --bin ekya_loadgen
     cmp results/serve_status.json target/serve_status_daemon.json
     echo "    loadgen snapshot ≡ daemon snapshot ✓"
+
+    # The live-daemon example runs here so it cannot rot: three cameras,
+    # one inference shard and one trainer each, three windows, and one
+    # injected trainer fault that supervision must absorb.
+    echo "==> example smoke: live_edge_server (EdgeDaemon end to end)"
+    cargo run --release -q --example live_edge_server
 
     echo "==> harness smoke: harness_bench (serial ≡ parallel + throughput)"
     EKYA_WINDOWS=2 cargo run --release -q -p ekya-bench --bin harness_bench

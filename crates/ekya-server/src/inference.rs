@@ -1,165 +1,54 @@
-//! Per-stream inference actor.
-//!
-//! Holds the stream's serving model and answers classification requests
-//! continuously. Weight swaps ([`InferenceMsg::SwapModel`]) queue behind
-//! in-flight requests and block the mailbox only for the (brief) reload,
-//! exactly the behaviour the paper gets from Ray actors (§5: "queuing of
-//! requests when the actor (model) is unavailable when its new weights
-//! are being loaded").
+//! Unit tests of one [`InferenceShard`](crate::InferenceShard)'s serving
+//! contract: classification, live counters, hot-swaps and model reads.
+//! Test-only; the shard itself lives in [`serve`](crate::serve).
 
-use ekya_actors::Actor;
-use ekya_core::InferenceConfig;
-use ekya_nn::data::{DataView, Sample};
-use ekya_nn::mlp::{Mlp, PredictScratch};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Counters exposed by an inference actor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InferenceStats {
-    /// Frames classified since spawn.
-    pub served: u64,
-    /// Model hot-swaps applied.
-    pub swaps: u64,
-}
-
-/// Messages an inference actor understands.
-pub enum InferenceMsg {
-    /// Classify one frame's feature vector.
-    Classify(Vec<f32>),
-    /// Classify a batch.
-    ClassifyBatch(Vec<Sample>),
-    /// Replace the serving model; `reload` emulates weight-loading time.
-    SwapModel {
-        /// The new model. `Arc` so the sender keeps its copy without a
-        /// deep clone; the actor only ever reads through it.
-        model: Arc<Mlp>,
-        /// Simulated weight-reload duration.
-        reload: Duration,
-    },
-    /// Measure accuracy on a labelled batch (shared, not copied).
-    Evaluate(Arc<Vec<Sample>>),
-    /// A copy of the current serving model (for profiling/retraining).
-    GetModel,
-    /// Change the inference configuration (frame sampling / resolution).
-    SetConfig(InferenceConfig),
-    /// Current counters.
-    Stats,
-}
-
-/// Replies from an inference actor.
-pub enum InferenceReply {
-    /// Predicted class for `Classify`.
-    Prediction(usize),
-    /// Predicted classes for `ClassifyBatch`.
-    Predictions(Vec<usize>),
-    /// Swap applied.
-    Swapped,
-    /// Accuracy for `Evaluate`.
-    Accuracy(f64),
-    /// Shared handle to the serving model for `GetModel`.
-    Model(Arc<Mlp>),
-    /// Config updated.
-    ConfigSet,
-    /// Counters for `Stats`.
-    Stats(InferenceStats),
-}
-
-/// The actor state. The model lives behind an `Arc` (swaps install a
-/// new `Arc`, readers elsewhere keep the old one — copy-on-write at the
-/// hot-swap boundary only) and all forward passes run through one
-/// per-actor [`PredictScratch`], so steady-state classification
-/// allocates nothing.
-pub struct InferenceActor {
-    model: Arc<Mlp>,
-    scratch: PredictScratch,
-    num_classes: usize,
-    config: InferenceConfig,
-    stats: InferenceStats,
-}
-
-impl InferenceActor {
-    /// Creates an inference actor serving `model`.
-    pub fn new(model: Mlp, num_classes: usize) -> Self {
-        Self {
-            model: Arc::new(model),
-            scratch: PredictScratch::new(),
-            num_classes,
-            config: InferenceConfig { frame_sampling: 1.0, resolution: 1.0 },
-            stats: InferenceStats::default(),
-        }
-    }
-
-    /// The currently configured inference configuration.
-    pub fn config(&self) -> InferenceConfig {
-        self.config
-    }
-}
-
-impl Actor for InferenceActor {
-    type Msg = InferenceMsg;
-    type Reply = InferenceReply;
-
-    fn handle(&mut self, msg: InferenceMsg) -> InferenceReply {
-        match msg {
-            InferenceMsg::Classify(x) => {
-                self.stats.served += 1;
-                let s = Sample::new(x, 0);
-                let preds = self.model.predict_into(std::slice::from_ref(&s), &mut self.scratch);
-                InferenceReply::Prediction(preds[0])
-            }
-            InferenceMsg::ClassifyBatch(batch) => {
-                self.stats.served += batch.len() as u64;
-                InferenceReply::Predictions(
-                    self.model.predict_into(&batch, &mut self.scratch).to_vec(),
-                )
-            }
-            InferenceMsg::SwapModel { model, reload } => {
-                if !reload.is_zero() {
-                    std::thread::sleep(reload);
-                }
-                self.model = model;
-                self.stats.swaps += 1;
-                InferenceReply::Swapped
-            }
-            InferenceMsg::Evaluate(batch) => InferenceReply::Accuracy(
-                self.model
-                    .accuracy_with(DataView::new(&batch, self.num_classes), &mut self.scratch),
-            ),
-            InferenceMsg::GetModel => InferenceReply::Model(Arc::clone(&self.model)),
-            InferenceMsg::SetConfig(c) => {
-                self.config = c;
-                InferenceReply::ConfigSet
-            }
-            InferenceMsg::Stats => InferenceReply::Stats(self.stats),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use ekya_actors::spawn;
-    use ekya_nn::mlp::MlpArch;
+    use crate::{InferenceShard, ShardMsg, ShardReply};
+    use ekya_actors::{spawn_bounded, ActorHandle};
+    use ekya_nn::data::Sample;
+    use ekya_nn::mlp::{Mlp, MlpArch};
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    fn actor() -> InferenceActor {
-        InferenceActor::new(Mlp::new(MlpArch::edge(4, 3, 8), 1), 3)
+    /// A shard with one admitted stream (id 0) serving a 4-feature,
+    /// 3-class model.
+    fn shard() -> ActorHandle<InferenceShard> {
+        let h = spawn_bounded("inf", InferenceShard::default(), 16);
+        let model = Arc::new(Mlp::new(MlpArch::edge(4, 3, 8), 1));
+        assert!(matches!(
+            h.ask(ShardMsg::Admit { stream: 0, model, num_classes: 3 }).unwrap(),
+            ShardReply::Admitted
+        ));
+        h
+    }
+
+    fn classify(h: &ActorHandle<InferenceShard>, x: Vec<f32>) -> (usize, u64) {
+        let frames = vec![Sample::new(x, 0)];
+        let ShardReply::Predictions { preds, version } =
+            h.ask(ShardMsg::ClassifyBatch { stream: 0, frames }).unwrap()
+        else {
+            panic!("wrong reply")
+        };
+        assert_eq!(preds.len(), 1);
+        (preds[0], version)
+    }
+
+    fn live(h: &ActorHandle<InferenceShard>) -> crate::ShardLive {
+        let ShardReply::Live(st) = h.ask(ShardMsg::LiveStats).unwrap() else {
+            panic!("wrong reply")
+        };
+        st
     }
 
     #[test]
     fn classify_and_stats() {
-        let h = spawn("inf", actor());
+        let h = shard();
         for _ in 0..5 {
-            let InferenceReply::Prediction(p) =
-                h.ask(InferenceMsg::Classify(vec![0.1; 4])).unwrap()
-            else {
-                panic!("wrong reply")
-            };
+            let (p, version) = classify(&h, vec![0.1; 4]);
             assert!(p < 3);
+            assert_eq!(version, 0);
         }
-        let InferenceReply::Stats(st) = h.ask(InferenceMsg::Stats).unwrap() else {
-            panic!("wrong reply")
-        };
+        let st = live(&h);
         assert_eq!(st.served, 5);
         assert_eq!(st.swaps, 0);
         h.stop();
@@ -167,43 +56,28 @@ mod tests {
 
     #[test]
     fn swap_changes_predictions_source() {
-        let h = spawn("inf", actor());
+        let h = shard();
         let other = Mlp::new(MlpArch::edge(4, 3, 8), 99);
-        let expected = {
-            let s = Sample::new(vec![0.5, -0.5, 0.3, 0.1], 0);
-            other.predict(std::slice::from_ref(&s))[0]
-        };
-        h.ask(InferenceMsg::SwapModel { model: Arc::new(other), reload: Duration::ZERO }).unwrap();
-        let InferenceReply::Prediction(p) =
-            h.ask(InferenceMsg::Classify(vec![0.5, -0.5, 0.3, 0.1])).unwrap()
-        else {
-            panic!("wrong reply")
-        };
-        assert_eq!(p, expected);
-        let InferenceReply::Stats(st) = h.ask(InferenceMsg::Stats).unwrap() else {
-            panic!("wrong reply")
-        };
-        assert_eq!(st.swaps, 1);
+        let x = vec![0.5, -0.5, 0.3, 0.1];
+        let expected = other.predict(&[Sample::new(x.clone(), 0)])[0];
+        let reply = h
+            .ask(ShardMsg::Swap { stream: 0, model: Arc::new(other), reload: Duration::ZERO })
+            .unwrap();
+        assert!(matches!(reply, ShardReply::Swapped { version: 1 }));
+        assert_eq!(classify(&h, x), (expected, 1));
+        assert_eq!(live(&h).swaps, 1);
         h.stop();
     }
 
     #[test]
     fn get_model_roundtrip() {
-        let h = spawn("inf", actor());
-        let InferenceReply::Model(m) = h.ask(InferenceMsg::GetModel).unwrap() else {
+        let h = shard();
+        let ShardReply::Model { model, version } = h.ask(ShardMsg::GetModel { stream: 0 }).unwrap()
+        else {
             panic!("wrong reply")
         };
-        assert_eq!(m.arch().num_classes, 3);
-        h.stop();
-    }
-
-    #[test]
-    fn set_config() {
-        let h = spawn("inf", actor());
-        let c = InferenceConfig { frame_sampling: 0.25, resolution: 0.5 };
-        let InferenceReply::ConfigSet = h.ask(InferenceMsg::SetConfig(c)).unwrap() else {
-            panic!("wrong reply")
-        };
+        assert_eq!(model.arch().num_classes, 3);
+        assert_eq!(version, 0);
         h.stop();
     }
 }

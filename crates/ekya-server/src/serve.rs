@@ -1,15 +1,13 @@
-//! The live multi-tenant serving daemon.
+//! The live multi-tenant serving daemon — the crate's one serving shape.
 //!
-//! [`crate::EdgeServer`] proves the paper's architecture with one
-//! inference actor and one trainer actor *per stream* — fine for tens of
-//! cameras, but two OS threads per camera does not admit the "hundreds
-//! of streams" a production edge box serves. [`EdgeDaemon`] is the
-//! serving-path shape: a small fixed pool of **inference shards** (each
-//! a bounded-mailbox actor multiplexing many stream slots and batching
+//! [`EdgeDaemon`] runs a fixed pool of **inference shards** (each a
+//! bounded-mailbox actor multiplexing many stream slots and batching
 //! classification requests), a supervised **trainer pool** that absorbs
 //! panics without dropping any stream's serving, **admission control**
 //! with typed rejections, and checkpoint hot-swaps whose model pulls are
-//! accounted against an `ekya-net` link model.
+//! accounted against an `ekya-net` link model. One shard per camera
+//! and hundreds of streams multiplexed on a handful of shards are the
+//! same code; only the [`ServeConfig`] pool sizes differ.
 //!
 //! Two metric planes, deliberately separated:
 //! * the **logical plane** — a deterministic arrival/queue ledger
@@ -296,7 +294,6 @@ struct Slot {
     scratch: PredictScratch,
     version: u64,
     num_classes: usize,
-    config: InferenceConfig,
 }
 
 /// Live counters of one shard (wall plane, never serialised).
@@ -372,13 +369,6 @@ pub enum ShardMsg {
         /// Stream id.
         stream: u32,
     },
-    /// Change a stream's inference configuration.
-    SetConfig {
-        /// Stream id.
-        stream: u32,
-        /// The new configuration.
-        config: InferenceConfig,
-    },
     /// Current live counters.
     LiveStats,
 }
@@ -411,8 +401,6 @@ pub enum ShardReply {
         /// Its version.
         version: u64,
     },
-    /// Configuration updated.
-    ConfigSet,
     /// Live counters.
     Live(ShardLive),
     /// The stream id has no slot on this shard.
@@ -437,13 +425,7 @@ impl Actor for InferenceShard {
             ShardMsg::Admit { stream, model, num_classes } => {
                 self.slots.insert(
                     stream,
-                    Slot {
-                        model,
-                        scratch: PredictScratch::new(),
-                        version: 0,
-                        num_classes,
-                        config: InferenceConfig { frame_sampling: 1.0, resolution: 1.0 },
-                    },
+                    Slot { model, scratch: PredictScratch::new(), version: 0, num_classes },
                 );
                 ShardReply::Admitted
             }
@@ -499,16 +481,17 @@ impl Actor for InferenceShard {
                 }
                 None => ShardReply::NoSuchStream,
             },
-            ShardMsg::SetConfig { stream, config } => match self.slots.get_mut(&stream) {
-                Some(slot) => {
-                    slot.config = config;
-                    ShardReply::ConfigSet
-                }
-                None => ShardReply::NoSuchStream,
-            },
             ShardMsg::LiveStats => ShardReply::Live(self.live),
         }
     }
+}
+
+/// The inference shard that serves `stream` in a pool of `shards`
+/// shards. Every route to a stream's slot — admission, client traffic,
+/// the live pump, hot-swaps and the per-window model reads — goes
+/// through this one placement.
+fn shard_of(stream: u32, shards: usize) -> usize {
+    stream as usize % shards
 }
 
 /// A cloneable client for sending live inference traffic to the daemon
@@ -526,7 +509,7 @@ impl DaemonClient {
         stream: StreamId,
         frames: Vec<Sample>,
     ) -> Result<(Vec<usize>, u64), ServeError> {
-        let shard = &self.shards[stream.0 as usize % self.shards.len()];
+        let shard = &self.shards[shard_of(stream.0, self.shards.len())];
         match shard.ask(ShardMsg::ClassifyBatch { stream: stream.0, frames }) {
             Ok(ShardReply::Predictions { preds, version }) => Ok((preds, version)),
             Ok(ShardReply::NoSuchStream) => Err(ServeError::UnknownStream),
@@ -601,6 +584,10 @@ fn refill_frames(frames: &mut Vec<Sample>, val: &[Sample], cursor: usize, want: 
 type SnapshotSink = Box<dyn FnMut(&StatusView<'_>) + Send>;
 
 /// The long-running multi-tenant serving daemon.
+///
+/// The live daemon classifies every frame and does not apply the plan's
+/// [`InferenceConfig`] (frame sampling, resolution); the simulator
+/// (`ekya-sim`) accounts for its cost and accuracy.
 pub struct EdgeDaemon {
     cfg: ServeConfig,
     shards: Vec<ActorHandle<InferenceShard>>,
@@ -651,10 +638,6 @@ impl EdgeDaemon {
         }
     }
 
-    fn shard_for(&self, stream: u32) -> &ActorHandle<InferenceShard> {
-        &self.shards[stream as usize % self.shards.len()]
-    }
-
     /// Admits a camera stream, or rejects it with a typed error (counted
     /// in the snapshot's `rejected`). Admission happens before serving
     /// starts: all streams share the daemon's window cursor.
@@ -699,8 +682,7 @@ impl EdgeDaemon {
         let id = StreamId(self.streams.len() as u32);
         let seed = self.cfg.seed.wrapping_add(7919 * id.0 as u64);
         let model = Mlp::new(MlpArch::edge(ds.feature_dim, ds.num_classes, 16), seed);
-        let reply = self
-            .shard_for(id.0)
+        let reply = self.shards[shard_of(id.0, self.shards.len())]
             .ask(ShardMsg::Admit {
                 stream: id.0,
                 model: Arc::new(model),
@@ -857,11 +839,6 @@ impl EdgeDaemon {
         // ---- Phase C: dispatch retraining round-robin over the
         // supervised pool; one waiter thread per trainer drains its jobs
         // in order.
-        for (s, st) in self.streams.iter().enumerate() {
-            let _ = self
-                .shard_for(st.id.0)
-                .ask(ShardMsg::SetConfig { stream: st.id.0, config: plan.streams[s].infer_config });
-        }
         let mut queues: Vec<Vec<(usize, TrainJobSpec)>> =
             (0..self.trainers.len()).map(|_| Vec::new()).collect();
         let mut planned = vec![false; n];
@@ -885,8 +862,8 @@ impl EdgeDaemon {
                 hyper: self.cfg.hyper,
                 seed: self.cfg.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
                 checkpoint_every: self.cfg.checkpoint_every,
-                swap_target: Some(SwapTarget::Shard {
-                    addr: self.shards[st.id.0 as usize % self.shards.len()].address(),
+                swap_target: Some(SwapTarget {
+                    addr: self.shards[shard_of(st.id.0, self.shards.len())].address(),
                     stream: st.id.0,
                 }),
                 swap_reload: self.cfg.swap_reload,
@@ -1082,7 +1059,7 @@ impl EdgeDaemon {
             let mut job = self.carrier_pool.pop().unwrap_or_default();
             job.stream = st.id.0;
             refill_frames(&mut job.frames, val, cursor, self.cfg.batch_size);
-            self.shard_jobs[st.id.0 as usize % nshards].push(job);
+            self.shard_jobs[shard_of(st.id.0, nshards)].push(job);
         }
         let pending: Vec<Option<Pending<ShardReply>>> = self
             .shards
@@ -1171,7 +1148,7 @@ impl EdgeDaemon {
                         let fresh = distill_labels(&mut st.teacher, &w.train_pool);
                         let pool = Arc::new(st.memory.training_mix(&fresh));
                         let sys_val = Arc::new(distill_labels(&mut st.teacher, &w.val));
-                        let addr = &addrs[st.id.0 as usize % nshards];
+                        let addr = &addrs[shard_of(st.id.0, nshards)];
                         let Ok(ShardReply::Model { model, .. }) =
                             addr.ask(ShardMsg::GetModel { stream: st.id.0 })
                         else {
@@ -1219,7 +1196,7 @@ impl EdgeDaemon {
                 let addrs = shard_addrs.clone();
                 scope.spawn(move || {
                     for (st, slot) in states.iter().zip(slots.iter_mut()) {
-                        let addr = &addrs[st.id.0 as usize % nshards];
+                        let addr = &addrs[shard_of(st.id.0, nshards)];
                         let Ok(ShardReply::Model { model, version }) =
                             addr.ask(ShardMsg::GetModel { stream: st.id.0 })
                         else {

@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use ekya_net::LinkModel;
     pub use ekya_nn::{CostModel, LearningCurve, Mlp, MlpArch};
-    pub use ekya_server::{EdgeServer, EdgeServerConfig};
+    pub use ekya_server::{EdgeDaemon, ServeConfig};
     pub use ekya_sim::{
         record_trace, run_windows, ReplayPolicyHarness, RunReport, RunnerConfig, Trace,
     };

@@ -6,7 +6,6 @@ use ekya::core::SchedulerObjective;
 use ekya::nn::data::DataView;
 use ekya::nn::ConfusionMatrix;
 use ekya::prelude::*;
-use ekya::server::{EdgeServer, EdgeServerConfig};
 use ekya::video::DatasetSpec;
 
 /// The max-min objective must not leave any stream far behind the mean
@@ -105,22 +104,44 @@ fn outage_windows_reported_correctly() {
     assert!(report.windows[0].streams.iter().any(|s| s.retrained));
 }
 
-/// The wall-clock actor server agrees qualitatively with the virtual-time
-/// runner: continuous retraining lifts accuracy over the bootstrap state.
+/// The wall-clock serving daemon agrees qualitatively with the
+/// virtual-time runner: bootstrap retraining lifts every stream's
+/// accuracy, and the steady state that follows is useful.
 #[test]
 fn actor_server_matches_runner_direction() {
     let streams = StreamSet::generate(DatasetKind::UrbanTraffic, 2, 3, 31);
-    let mut server = EdgeServer::new(
-        streams.clone(),
-        EdgeServerConfig { seed: 11, ..EdgeServerConfig::new(2.0) },
-    );
-    let w0 = server.run_window();
-    let w1 = server.run_window();
-    server.shutdown();
-    let end0: f64 = w0.iter().map(|o| o.end_accuracy).sum::<f64>() / w0.len() as f64;
-    let start0: f64 = w0.iter().map(|o| o.start_accuracy).sum::<f64>() / w0.len() as f64;
-    assert!(end0 > start0, "bootstrap retraining must lift accuracy");
-    let end1: f64 = w1.iter().map(|o| o.end_accuracy).sum::<f64>() / w1.len() as f64;
+    let mut daemon = EdgeDaemon::new(ServeConfig { seed: 11, ..ServeConfig::new(2.0) });
+    let ids: Vec<_> =
+        streams.iter().map(|(_, ds)| daemon.admit(ds.clone()).expect("within capacity")).collect();
+
+    // Start accuracy: what each stream serves on window 0 before any
+    // retraining, measured through the live serving path.
+    let client = daemon.client();
+    let start: Vec<f64> = streams
+        .iter()
+        .zip(&ids)
+        .map(|((_, ds), &id)| {
+            let val = &ds.window(0).val;
+            let (preds, _) = client.classify(id, val.clone()).expect("admitted stream serves");
+            let correct = preds.iter().zip(val).filter(|(p, s)| **p == s.y).count();
+            correct as f64 / val.len() as f64
+        })
+        .collect();
+
+    let w0 = daemon.run_window();
+    let w1 = daemon.run_window();
+    daemon.shutdown();
+    for (r, start) in w0.iter().zip(&start) {
+        assert!(r.retrained, "bootstrap window should retrain {}", r.id);
+        assert!(
+            r.accuracy > *start,
+            "bootstrap retraining must lift {}: {start:.3} -> {:.3}",
+            r.id,
+            r.accuracy
+        );
+    }
+    assert!(w1.iter().all(|r| r.accuracy > 0.3), "every stream stays useful");
+    let end1 = w1.iter().map(|r| r.accuracy).sum::<f64>() / w1.len() as f64;
     assert!(end1 > 0.4, "steady state should be useful: {end1:.3}");
 }
 
